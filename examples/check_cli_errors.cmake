@@ -35,7 +35,6 @@ endfunction()
 expect_cli(2 stderr "invalid value for --threads" "x^2 - 2" --threads x)
 expect_cli(2 stderr "invalid value for --parallel" "x^2 - 2" --parallel x)
 expect_cli(2 stderr "invalid value for --digits" "x^2 - 2" --digits 12abc)
-expect_cli(2 stderr "invalid value for --pieces" "x^2 - 2" --pieces -3)
 # Out-of-range values are rejected the same way (never clamped).
 expect_cli(2 stderr "invalid value for --threads" "x^2 - 2" --threads 0)
 expect_cli(2 stderr "invalid value for --digits" "x^2 - 2" --digits 0)

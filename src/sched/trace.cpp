@@ -225,7 +225,7 @@ void ExecutionTimeline::save(std::ostream& os) const {
   os.precision(9);
   for (const auto& e : entries) {
     os << e.task << ' ' << e.worker << ' ' << e.start << ' ' << e.finish
-       << ' ' << e.piece << '\n';
+       << '\n';
   }
 }
 
@@ -247,8 +247,8 @@ ExecutionTimeline ExecutionTimeline::load(std::istream& is) {
       malformed(kWho, lineno, "truncated entry (need task worker start "
                               "finish)");
     }
-    // Optional trailing piece id (absent in traces written before pieces).
-    if (!(ls >> e.piece)) e.piece = -1;
+    // Each line is parsed on its own, so the trailing piece id that older
+    // timelines carry is ignored.
     if (e.task < 0) malformed(kWho, lineno, "negative task id");
     if (e.worker < 0 || e.worker >= workers) {
       malformed(kWho, lineno,

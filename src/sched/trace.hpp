@@ -61,7 +61,6 @@ struct TimelineEntry {
   std::int32_t worker = 0;
   double start = 0;
   double finish = 0;
-  std::int32_t piece = -1;  ///< owning TreePiece of the task (-1 = canopy)
 };
 
 /// Per-worker execution timeline of a real TaskPool run: which worker ran
@@ -83,10 +82,10 @@ struct ExecutionTimeline {
   double busy_seconds_for(int worker) const;
 
   /// Line-oriented serialization: "workers\n" then one
-  /// "task worker start finish piece" per line.  load() accepts lines
-  /// without the trailing piece field (older traces) and defaults it to
-  /// -1; otherwise it validates like TaskTrace::load and throws
-  /// InvalidArgument with line context.
+  /// "task worker start finish" per line.  load() ignores a trailing fifth
+  /// field (the piece id that older timelines carried); otherwise it
+  /// validates like TaskTrace::load and throws InvalidArgument with line
+  /// context.
   void save(std::ostream& os) const;
   static ExecutionTimeline load(std::istream& is);
 };

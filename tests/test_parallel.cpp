@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "gen/classic_polys.hpp"
+#include "gen/hard_polys.hpp"
 #include "gen/matrix_polys.hpp"
+#include "service/root_service.hpp"
 #include "sim/des.hpp"
 #include "support/error.hpp"
 #include "support/prng.hpp"
@@ -232,6 +235,168 @@ TEST(ParallelDriver, DeterministicAcrossPolicyThreadsAndChunks) {
       }
     }
   }
+}
+
+// Forces stage 1 and the combines of every node of length >= 2 onto the
+// multimodular path even at the small degrees these tests use.
+RootFinderConfig forced_modular_config(std::size_t mu) {
+  RootFinderConfig cfg = base_config(mu);
+  cfg.modular.enabled = true;
+  cfg.modular.min_degree = 2;
+  cfg.modular.min_combine_bits = 1;
+  cfg.modular.combine_cost_gate = false;
+  cfg.modular.tree_task_width = 1;
+  return cfg;
+}
+
+std::string describe(const char* name, bool modular, PoolPolicy policy,
+                     int threads) {
+  return std::string(name) + " modular=" + (modular ? "on" : "off") +
+         " policy=" +
+         (policy == PoolPolicy::kCentralQueue ? "central" : "steal") +
+         " threads=" + std::to_string(threads);
+}
+
+// RootReports are bit-identical to the sequential driver under every
+// {thread count} x {policy} x {modular off/on} combination.
+TEST(ParallelDriver, DeterministicAcrossThreadsPoliciesAndModular) {
+  struct Workload {
+    const char* name;
+    Poly poly;
+  };
+  Prng rng(99);
+  const std::vector<Workload> workloads = {
+      {"wilkinson", wilkinson(12)},
+      {"berkowitz", paper_input(10, rng).poly},
+  };
+  for (const auto& w : workloads) {
+    const auto ref = find_real_roots(w.poly, base_config(24));
+    for (bool modular : {false, true}) {
+      const RootFinderConfig cfg =
+          modular ? forced_modular_config(24) : base_config(24);
+      for (PoolPolicy policy :
+           {PoolPolicy::kCentralQueue, PoolPolicy::kWorkStealing}) {
+        for (int threads : {1, 2, 4, 8}) {
+          ParallelConfig pc;
+          pc.pool_policy = policy;
+          pc.num_threads = threads;
+          const auto run = find_real_roots_parallel(w.poly, cfg, pc);
+          const std::string where = describe(w.name, modular, policy, threads);
+          EXPECT_FALSE(run.used_sequential_fallback) << where;
+          EXPECT_EQ(run.report.roots, ref.roots) << where;
+          EXPECT_EQ(run.report.multiplicities, ref.multiplicities) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelDriver, ModularPathMatchesSequential) {
+  Prng rng(31);
+  const auto input = paper_input(12, rng);
+  const auto ref = find_real_roots(input.poly, base_config(40));
+  for (PoolPolicy policy :
+       {PoolPolicy::kCentralQueue, PoolPolicy::kWorkStealing}) {
+    ParallelConfig pc;
+    pc.num_threads = 4;
+    pc.pool_policy = policy;
+    const auto run =
+        find_real_roots_parallel(input.poly, forced_modular_config(40), pc);
+    const std::string where = describe("paper-12", true, policy, 4);
+    EXPECT_FALSE(run.used_sequential_fallback) << where;
+    EXPECT_EQ(run.report.roots, ref.roots) << where;
+  }
+}
+
+TEST(ParallelDriver, WilkinsonAcrossThreadCounts) {
+  const Poly p = wilkinson(12);
+  const auto ref = find_real_roots(p, base_config(16));
+  for (bool modular : {false, true}) {
+    const RootFinderConfig cfg =
+        modular ? forced_modular_config(16) : base_config(16);
+    for (PoolPolicy policy :
+         {PoolPolicy::kCentralQueue, PoolPolicy::kWorkStealing}) {
+      for (int threads : {2, 5, 8}) {
+        ParallelConfig pc;
+        pc.pool_policy = policy;
+        pc.num_threads = threads;
+        const auto run = find_real_roots_parallel(p, cfg, pc);
+        const std::string where = describe("wilkinson", modular, policy,
+                                           threads);
+        EXPECT_FALSE(run.used_sequential_fallback) << where;
+        EXPECT_EQ(run.report.roots, ref.roots) << where;
+        EXPECT_EQ(run.report.multiplicities, ref.multiplicities) << where;
+      }
+    }
+  }
+}
+
+// Repeated roots take the sequential fallback and give the sequential
+// answer under every configuration; a squarefree input next to it does not.
+TEST(ParallelDriver, RepeatedRootFallbackAcrossThreadsPoliciesAndModular) {
+  Prng rng(9);
+  const auto input = paper_input(10, rng);
+  const Poly rep = poly_from_integer_roots({2, 2, 5});
+  const auto ref = find_real_roots(rep, base_config(12));
+  ASSERT_EQ(ref.roots.size(), 2u);
+  for (bool modular : {false, true}) {
+    const RootFinderConfig cfg =
+        modular ? forced_modular_config(12) : base_config(12);
+    for (PoolPolicy policy :
+         {PoolPolicy::kCentralQueue, PoolPolicy::kWorkStealing}) {
+      for (int threads : {1, 2, 4, 8}) {
+        ParallelConfig pc;
+        pc.pool_policy = policy;
+        pc.num_threads = threads;
+        const std::string where = describe("repeated", modular, policy,
+                                           threads);
+        const auto fb = find_real_roots_parallel(rep, cfg, pc);
+        EXPECT_TRUE(fb.used_sequential_fallback) << where;
+        EXPECT_EQ(fb.report.roots, ref.roots) << where;
+        EXPECT_EQ(fb.report.multiplicities, ref.multiplicities) << where;
+        const auto run = find_real_roots_parallel(input.poly, cfg, pc);
+        EXPECT_FALSE(run.used_sequential_fallback) << where;
+      }
+    }
+  }
+}
+
+// Regression: on the exact stage-1 path only the last iteration checks
+// for non-real roots.  Interval tasks of low tree nodes used to run
+// before that check and fail with "unsorted interleave", which rejected
+// the request instead of routing it to the sequential Sturm fallback.
+TEST(ParallelDriver, ComplexRootInputFallsBackInsteadOfFailing) {
+  Prng rng(77);
+  const Poly p = random_squarefree_poly(24, 16, rng);
+  const RootFinderConfig cfg = base_config(107);
+  const auto ref = find_real_roots(p, cfg);
+  for (PoolPolicy policy :
+       {PoolPolicy::kCentralQueue, PoolPolicy::kWorkStealing}) {
+    for (int rep = 0; rep < 20; ++rep) {
+      ParallelConfig pc;
+      pc.num_threads = 4;
+      pc.pool_policy = policy;
+      const auto run = find_real_roots_parallel(p, cfg, pc);
+      EXPECT_TRUE(run.used_sequential_fallback) << "rep " << rep;
+      EXPECT_EQ(run.report.roots, ref.roots) << "rep " << rep;
+      EXPECT_EQ(run.report.multiplicities, ref.multiplicities);
+    }
+  }
+  // The same input co-staged with a real-rooted one in a service batch.
+  service::ServiceConfig scfg;
+  scfg.finder = cfg;
+  scfg.parallel.num_threads = 4;
+  service::RootService service(scfg);
+  Prng rng2(5);
+  const Poly other = paper_input(12, rng2).poly;
+  const auto results =
+      service.run_batch({p.to_string(), other.to_string()});
+  ASSERT_EQ(results.size(), 2u);
+  ASSERT_TRUE(results[0].ok) << results[0].error;
+  ASSERT_TRUE(results[1].ok) << results[1].error;
+  EXPECT_EQ(results[0].report.roots, ref.roots);
+  EXPECT_EQ(results[0].report.multiplicities, ref.multiplicities);
+  EXPECT_EQ(results[1].report.roots, find_real_roots(other, cfg).roots);
 }
 
 TEST(ParallelDriver, GrainChunkShrinksTraceKeepsRoots) {

@@ -192,6 +192,33 @@ TEST_P(PoolPolicies, ThrowingTaskRacingLongTasksShutsDownCleanly) {
   }
 }
 
+// The same race with fan-in: every queued task waits on two slow tasks,
+// so the bomb goes off while workers are completing tasks and releasing
+// their successors, and shutdown must drop successors left half-released.
+TEST_P(PoolPolicies, ThrowingTaskRacesFanInCompletionCleanly) {
+  for (int round = 0; round < 8; ++round) {
+    TaskGraph g;
+    for (int i = 0; i < 6; ++i) {
+      g.add(TaskKind::kGeneric, i, [] {
+        (void)(BigInt::pow2(20000) * BigInt::pow2(20000));
+      });
+    }
+    g.add(TaskKind::kGeneric, 99, [] {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      throw InvalidArgument("boom");
+    });
+    std::atomic<int> late{0};
+    for (int i = 0; i < 32; ++i) {
+      const TaskId a = g.add(i % 2 ? TaskKind::kSort : TaskKind::kRefine, i,
+                             [&late] { ++late; });
+      g.add_edge(static_cast<TaskId>(i % 6), a);
+      g.add_edge(static_cast<TaskId>((i + 1) % 6), a);
+    }
+    TaskPool pool(4, GetParam());
+    EXPECT_THROW(pool.run(g), InvalidArgument) << "round " << round;
+  }
+}
+
 TEST_P(PoolPolicies, FirstOfConcurrentExceptionsWins) {
   TaskGraph g;
   for (int i = 0; i < 4; ++i) {
@@ -199,6 +226,22 @@ TEST_P(PoolPolicies, FirstOfConcurrentExceptionsWins) {
   }
   TaskPool pool(4, GetParam());
   EXPECT_THROW(pool.run(g), InvalidArgument);
+}
+
+TEST_P(PoolPolicies, RunsAllTasksAndCountsThem) {
+  TaskGraph g;
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 64; ++i) {
+    g.add(TaskKind::kGeneric, i, [&ran] { ++ran; });
+  }
+  TaskPool pool(3, GetParam());
+  const auto stats = pool.run(g);
+  EXPECT_EQ(ran.load(), 64);
+  EXPECT_EQ(stats.tasks_run, 64u);
+  EXPECT_EQ(stats.timeline.entries.size(), 64u);
+  std::size_t total = 0;
+  for (const auto& w : stats.workers) total += w.tasks;
+  EXPECT_EQ(total, 64u);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothPolicies, PoolPolicies,
@@ -362,6 +405,21 @@ TEST(Timeline, SaveLoadRoundTrip) {
     EXPECT_NEAR(back.entries[i].start, tl.entries[i].start, 1e-9);
     EXPECT_NEAR(back.entries[i].finish, tl.entries[i].finish, 1e-9);
   }
+}
+
+// Timelines written while tasks carried a piece tag have a fifth column;
+// they still load, and the extra field is dropped.
+TEST(Timeline, LoadsLegacyLinesWithATrailingPieceColumn) {
+  std::istringstream legacy("2 2\n0 0 0.0 0.5 -1\n1 1 0.1 0.4 3\n");
+  const auto tl = ExecutionTimeline::load(legacy);
+  ASSERT_EQ(tl.entries.size(), 2u);
+  EXPECT_EQ(tl.entries[1].task, 1);
+  EXPECT_EQ(tl.entries[1].worker, 1);
+  EXPECT_NEAR(tl.entries[1].start, 0.1, 1e-12);
+  EXPECT_NEAR(tl.entries[1].finish, 0.4, 1e-12);
+  std::ostringstream os;
+  tl.save(os);
+  EXPECT_EQ(os.str().find(" 3\n"), std::string::npos) << os.str();
 }
 
 TEST(Timeline, LoadRejectsMalformedInput) {
