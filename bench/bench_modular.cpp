@@ -2,7 +2,7 @@
 //
 // Measures, per input degree:
 //   * prs:      the remainder-sequence stage alone (exact serial recurrence
-//               vs per-prime images + CRT at 1/2/8 threads);
+//               vs per-prime images + CRT, the one-call form, inline);
 //   * tree:     the tree-build stage alone (every T_{i,j} combine, exact vs
 //               modular, over the same precomputed sequence);
 //   * stage:    prs + tree combined -- the part of the pipeline the
@@ -69,8 +69,8 @@ bool sequences_equal(const pr::RemainderSequence& a,
          a.c == b.c;
 }
 
-/// The tree-build stage in isolation: every T_{i,j} (and P_{i,j}) bottom-up,
-/// exactly as run_tree_sequential's first loop does.
+/// The tree-build stage in isolation: every T_{i,j} (and P_{i,j}) bottom-up
+/// through the postorder step function.
 void build_tree_polys(const pr::Poly& p, const pr::RemainderSequence& rs,
                       const pr::modular::ModularConfig* modular) {
   pr::Tree tree(p.degree());
@@ -125,10 +125,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto modular_cfg = [](int threads) {
+  const auto modular_cfg = [] {
     pr::modular::ModularConfig m;
     m.enabled = true;
-    m.num_threads = threads;
     return m;
   };
 
@@ -159,8 +158,8 @@ int main(int argc, char** argv) {
     const double exact_tree =
         timed_best(repeats, [&] { build_tree_polys(in.poly, rs, nullptr); });
 
-    for (int threads : {1, 2, 8}) {
-      const auto mcfg = modular_cfg(threads);
+    {
+      const auto mcfg = modular_cfg();
       auto check = pr::modular::compute_remainder_sequence_multimodular(
           in.poly, mcfg);
       if (!check || !sequences_equal(*check, rs)) {
@@ -172,9 +171,9 @@ int main(int argc, char** argv) {
       });
       const double mod_tree = timed_best(
           repeats, [&] { build_tree_polys(in.poly, rs, &mcfg); });
-      emit({"prs", in.name, n, threads, exact_prs, mod_prs});
-      emit({"tree", in.name, n, threads, exact_tree, mod_tree});
-      emit({"stage", in.name, n, threads, exact_prs + exact_tree,
+      emit({"prs", in.name, n, 1, exact_prs, mod_prs});
+      emit({"tree", in.name, n, 1, exact_tree, mod_tree});
+      emit({"stage", in.name, n, 1, exact_prs + exact_tree,
             mod_prs + mod_tree});
     }
 
@@ -182,7 +181,7 @@ int main(int argc, char** argv) {
     pr::RootFinderConfig cfg;
     cfg.mu_bits = digits_to_bits(4);
     pr::RootFinderConfig cfg_mod = cfg;
-    cfg_mod.modular = modular_cfg(1);  // the driver schedules its own tasks
+    cfg_mod.modular = modular_cfg();
 
     for (int threads : {1, 2, 8}) {
       pr::ParallelConfig par;
@@ -224,8 +223,8 @@ int main(int argc, char** argv) {
     big.push_back({"jacobi-128", pr::random_jacobi_poly(128, 9, rng)});
     big.push_back({"jacobi-256", pr::random_jacobi_poly(256, 9, rng)});
   }
-  const auto baseline_cfg = [&](int threads) {
-    auto m = modular_cfg(threads);
+  const auto baseline_cfg = [&] {
+    auto m = modular_cfg();
     m.use_ntt = false;
     m.batch_images = false;
     m.crt_wave_min_work = std::numeric_limits<std::size_t>::max();
@@ -234,45 +233,47 @@ int main(int argc, char** argv) {
   const int big_repeats = full ? 3 : 1;
   for (const auto& in : big) {
     const int n = in.poly.degree();
-    const bool huge = n >= 200;  // single-run, P=8-only cells
+    const bool huge = n >= 200;  // single-run cells, standalone only in --full
 
-    const auto rs_new = pr::modular::compute_remainder_sequence_multimodular(
-        in.poly, modular_cfg(1));
-    const auto rs_old = pr::modular::compute_remainder_sequence_multimodular(
-        in.poly, baseline_cfg(1));
+    const auto new_t = modular_cfg();
+    const auto old_t = baseline_cfg();
+    const auto rs_new =
+        pr::modular::compute_remainder_sequence_multimodular(in.poly, new_t);
+    const auto rs_old =
+        pr::modular::compute_remainder_sequence_multimodular(in.poly, old_t);
     if (!rs_new || !rs_old || !sequences_equal(*rs_new, *rs_old)) {
       std::cerr << "ablation sequence mismatch for " << in.name << "\n";
       return 1;
     }
 
-    for (int threads : {1, 8}) {
-      if (huge && threads == 1 && !full) continue;
-      const auto old_t = baseline_cfg(threads);
-      const auto new_t = modular_cfg(threads);
+    // The standalone one-call forms run inline (P = 1); parallel modular
+    // work runs only as graph tasks, timed by the pipeline rows below.
+    if (!huge || full) {
       const double old_prs = timed_best(big_repeats, [&] {
         pr::modular::compute_remainder_sequence_multimodular(in.poly, old_t);
       });
       const double new_prs = timed_best(big_repeats, [&] {
         pr::modular::compute_remainder_sequence_multimodular(in.poly, new_t);
       });
-      emit({"prs-ntt", in.name, n, threads, old_prs, new_prs});
-      if (huge) continue;  // tree CRT at 256 is minutes per arm
-      const double old_tree = timed_best(
-          big_repeats, [&] { build_tree_polys(in.poly, *rs_new, &old_t); });
-      const double new_tree = timed_best(
-          big_repeats, [&] { build_tree_polys(in.poly, *rs_new, &new_t); });
-      emit({"tree-ntt", in.name, n, threads, old_tree, new_tree});
-      emit({"stage-ntt", in.name, n, threads, old_prs + old_tree,
-            new_prs + new_tree});
+      emit({"prs-ntt", in.name, n, 1, old_prs, new_prs});
+      if (!huge) {  // tree CRT at 256 is minutes per arm
+        const double old_tree = timed_best(
+            big_repeats, [&] { build_tree_polys(in.poly, *rs_new, &old_t); });
+        const double new_tree = timed_best(
+            big_repeats, [&] { build_tree_polys(in.poly, *rs_new, &new_t); });
+        emit({"tree-ntt", in.name, n, 1, old_tree, new_tree});
+        emit({"stage-ntt", in.name, n, 1, old_prs + old_tree,
+              new_prs + new_tree});
+      }
     }
 
     // Full pipeline, modular on in both arms, features off vs on.  The
     // huge input times the verification runs themselves (one per arm).
     pr::RootFinderConfig pipe_old;
     pipe_old.mu_bits = digits_to_bits(4);
-    pipe_old.modular = baseline_cfg(1);
+    pipe_old.modular = old_t;
     pr::RootFinderConfig pipe_new = pipe_old;
-    pipe_new.modular = modular_cfg(1);
+    pipe_new.modular = new_t;
     for (int threads : {1, 8}) {
       if (huge && threads == 1) continue;
       pr::ParallelConfig par;
@@ -321,7 +322,7 @@ int main(int argc, char** argv) {
       return pr::Poly(std::move(c));
     };
     const auto combine_cfg = [&](bool ntt) {
-      auto m = modular_cfg(1);
+      auto m = modular_cfg();
       m.min_combine_bits = 1;
       m.combine_cost_gate = false;
       m.use_ntt = ntt;
@@ -366,7 +367,7 @@ int main(int argc, char** argv) {
   pr::instr::reset_modular();
   {
     const auto& in = inputs.back();
-    const auto mcfg = modular_cfg(1);
+    const auto mcfg = modular_cfg();
     auto rs = pr::modular::compute_remainder_sequence_multimodular(in.poly,
                                                                    mcfg);
     if (rs) build_tree_polys(in.poly, *rs, &mcfg);
@@ -376,10 +377,10 @@ int main(int argc, char** argv) {
   const std::string path = out_path(argc, argv);
   write_json(path.c_str(), rows, mc);
   std::cout << "\nwrote " << rows.size() << " rows to " << path << "\n"
-            << "\nexpected: stage speedup >= 2x at every degree >= 64 and "
-               "equal thread count;\nthe prs image phase scales with threads "
-               "(one task per prime slot) while\nreconstruction is "
-               "level-sequential (the induction bound chains levels);\n"
+            << "\nexpected: stage speedup >= 2x at every degree >= 64;\n"
+               "pipeline rows scale with threads (images, CRT waves and "
+               "combine\nblocks are graph tasks) while reconstruction is "
+               "level-sequential\n(the induction bound chains levels);\n"
                "bad_primes and fallbacks both 0 on these inputs.\n"
                "*-ntt rows compare this PR's features off vs on (both arms "
                "modular):\non all-real-root inputs those stages are "

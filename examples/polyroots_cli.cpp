@@ -17,7 +17,8 @@
 // Single-shot mode parses the polynomial, finds all real roots, and
 // prints them as decimals (default), exact rational enclosures (--exact),
 // or with the per-phase instrumentation summary (--stats).  --threads
-// (alias --parallel) selects the task-parallel driver.
+// (alias --parallel) sets how many worker threads run the task graph
+// (default 1: the graph runs inline on the calling thread).
 //
 // --batch FILE routes one request line per file line ("-" = stdin)
 // through the RootService: duplicate lines collapse onto one computation,
@@ -55,7 +56,7 @@ void usage() {
       "       example_polyroots_cli --serve [options]\n"
       "  --digits N    output precision in decimal digits (default 20)\n"
       "  --exact       print exact rational enclosures ((k-1)/2^mu, k/2^mu]\n"
-      "  --threads T   run the task-parallel driver with T threads\n"
+      "  --threads T   worker threads for the task graph (default 1)\n"
       "                (--parallel T is accepted as an alias)\n"
       "  --finder F    isolation pipeline: \"paper\" (interleaving tree,\n"
       "                default) or \"radii\" (root-radii + Descartes + QIR;\n"
@@ -220,7 +221,7 @@ int main(int argc, char** argv) {
   bool quick = false;
   const char* out_file = nullptr;
   const char* batch_file = nullptr;
-  int threads = 0;
+  int threads = 1;
   pr::FinderStrategy finder = pr::FinderStrategy::kPaper;
   const char* poly_text = nullptr;
 
@@ -326,7 +327,7 @@ int main(int argc, char** argv) {
     }
     pr::service::ServiceConfig scfg;
     scfg.finder = cfg;
-    scfg.parallel.num_threads = threads > 0 ? threads : 1;
+    scfg.parallel.num_threads = threads;
     scfg.cache_enabled = !no_cache;
     pr::service::RootService service(scfg);
 
@@ -396,13 +397,9 @@ int main(int argc, char** argv) {
   pr::instr::reset_all();
   pr::RootReport report;
   try {
-    if (threads > 0) {
-      pr::ParallelConfig pc;
-      pc.num_threads = threads;
-      report = pr::find_real_roots_parallel(p, cfg, pc).report;
-    } else {
-      report = pr::find_real_roots(p, cfg);
-    }
+    pr::ParallelConfig pc;
+    pc.num_threads = threads;
+    report = pr::find_real_roots_parallel(p, cfg, pc).report;
   } catch (const pr::Error& e) {
     std::cerr << "root finding failed: " << e.what() << "\n";
     return 1;

@@ -57,7 +57,8 @@ BigInt solve_one_interval(const Poly& p, int index, const BigInt& k_lo,
                           const IntervalSolverConfig& config,
                           IntervalStats* stats);
 
-/// Convenience sequential driver: runs the whole stage for one node.
+/// The whole stage for one node in one call (every PREINTERVAL, then every
+/// INTERVAL, in order), as the postorder step compute_node_roots runs it.
 /// `ys` are the merged child approximations (size d-1), `bound_scaled` is
 /// 2^(R+mu) with [-2^R, 2^R] enclosing all roots.  Returns the d
 /// approximated roots of p in nondecreasing order.

@@ -4,6 +4,7 @@
 #include <array>
 #include <memory>
 
+#include "baseline/sturm_finder.hpp"
 #include "core/interval_stage.hpp"
 #include "core/scaled_point.hpp"
 #include "core/tree.hpp"
@@ -15,16 +16,44 @@
 #include "modular/tuning.hpp"
 #include "poly/bounds.hpp"
 #include "poly/remainder_sequence.hpp"
+#include "poly/squarefree.hpp"
+#include "poly/sturm.hpp"
 #include "support/error.hpp"
 
 namespace pr {
 
 namespace {
 
-std::size_t ceil_log2_sz(std::size_t n) {
-  std::size_t b = 0;
-  while ((std::size_t{1} << b) < n) ++b;
-  return b;
+/// The remainder sequence vanished early: the input has repeated roots.
+/// The driver catches this one NonNormalSequence and restages the graph on
+/// the squarefree part; every other one goes to the Sturm fallback.
+class RepeatedRoots : public NonNormalSequence {
+ public:
+  using NonNormalSequence::NonNormalSequence;
+};
+
+/// RootFinderConfig::validate: cross-checks every returned cell against a
+/// Sturm count of the squarefree polynomial the roots were computed for.
+void validate_roots(const Poly& squarefree, const std::vector<BigInt>& roots,
+                    std::size_t mu) {
+  SturmChain chain(squarefree);
+  const int total = chain.distinct_real_roots();
+  check_internal(total == squarefree.degree(),
+                 "validate: input has non-real roots");
+  check_internal(static_cast<int>(roots.size()) == total,
+                 "validate: wrong number of roots returned");
+  // Consecutive equal values share a cell; the cell must contain exactly
+  // that many roots.
+  std::size_t i = 0;
+  while (i < roots.size()) {
+    std::size_t jend = i + 1;
+    while (jend < roots.size() && roots[jend] == roots[i]) ++jend;
+    const BigInt lo = roots[i] - BigInt(1);
+    const int cnt = chain.count_half_open(lo, roots[i], mu);
+    check_internal(cnt == static_cast<int>(jend - i),
+                   "validate: cell does not contain its claimed roots");
+    i = jend;
+  }
 }
 
 /// All shared mutable state of one parallel run.  Every field is written
@@ -40,7 +69,8 @@ struct RunState {
   RemainderSequence rs;
   // Staging for F_{i+1} coefficients (index: [i+1][j]).
   std::vector<std::vector<BigInt>> fstage;
-  // Per-iteration quotient data (valid after the iteration's Q task).
+  // Per-iteration quotient data of the exact coefficient tasks (valid
+  // after the iteration's Q task).
   std::vector<BigInt> q0, q1, ci_sq, cprev_sq;
   // Per-operation grain staging: products of Eq. 18 ([i+1][j][0..2]).
   std::vector<std::vector<std::array<BigInt, 3>>> opstage;
@@ -48,6 +78,7 @@ struct RunState {
   // Multimodular fast paths (see modular/): both engines expose split-phase
   // APIs precisely so this driver can schedule their phases as tasks.
   modular::ModularConfig modular;
+  TaskGraph* graph = nullptr;  // the graph this run is staged into
   std::unique_ptr<modular::MultimodularPrs> mprs;
 
   Tree tree;
@@ -56,7 +87,14 @@ struct RunState {
     std::vector<BigInt> points;               // sentinels + merged ys
     std::vector<InterleavePointInfo> infos;   // PREINTERVAL outputs
     std::vector<IntervalStats> stats;         // per-interval stats
-    std::unique_ptr<modular::ModularCombine> mcombine;  // modular nodes only
+    // Internal combine nodes only: the node's ten tasks (prep, four
+    // first-product, four second-product, publish), and what prep made
+    // for them -- U_k and s = c_k^2 c_{k-1}^2 on the exact path, the
+    // ModularCombine on the modular one.
+    std::array<TaskId, 10> tasks{};
+    PolyMat22 u;
+    BigInt s;
+    std::unique_ptr<modular::ModularCombine> mcombine;
   };
   std::vector<NodeScratch> scratch;
 
@@ -83,20 +121,60 @@ struct RunState {
 /// pool tasks, which outlive the builder -- the builder is torn down as
 /// soon as the graph is staged.
 void finish_iteration(RunState& st, int i) {
-  Poly next{std::move(st.fstage[static_cast<std::size_t>(i + 1)])};
+  const auto ui = static_cast<std::size_t>(i);
+  Poly next{std::move(st.fstage[ui + 1])};
   if (next.is_zero()) {
-    throw NonNormalSequence("repeated roots: F_" + std::to_string(i + 1) +
-                            " vanished");
+    throw RepeatedRoots("repeated roots: F_" + std::to_string(i + 1) +
+                        " vanished");
   }
   if (next.degree() != st.n - i - 1) {
-    throw NonNormalSequence("premature degree drop at F_" +
-                            std::to_string(i + 1));
+    throw NonNormalSequence(
+        "remainder sequence is not normal (premature degree drop at F_" +
+        std::to_string(i + 1) + ": degree " + std::to_string(next.degree()) +
+        ", expected " + std::to_string(st.n - i - 1) + ")");
   }
-  st.rs.c[static_cast<std::size_t>(i + 1)] = next.leading();
-  st.rs.F[static_cast<std::size_t>(i + 1)] = std::move(next);
-  if (i == st.n - 1 && real_root_count(st.rs) != st.n) {
+  // The sequence is a Sturm chain with one degree per step, so every root
+  // is real exactly when no sign variation appears at +inf: all leading
+  // coefficients share one sign.  Fail at the first one that breaks it,
+  // before the tree stage spends work on an input bound for Sturm.
+  if (next.leading().signum() != st.rs.c[ui].signum()) {
     throw NonNormalSequence("input has non-real roots");
   }
+  st.rs.c[ui + 1] = next.leading();
+  st.rs.F[ui + 1] = std::move(next);
+}
+
+/// Prep task of an internal combine node: the node's one modular-vs-exact
+/// decision, made at run time by the ModularCombine cost model (the one
+/// modular_t_combine applies).  The exact path gets U_k and s computed
+/// once for its eight entry tasks.  The modular path relabels the node's
+/// tasks with the kinds of the work they now carry, so traces name what
+/// ran; the pool never reads kinds, and the relabelled tasks cannot start
+/// before this one finishes.
+void combine_prep(RunState& st, RunState::NodeScratch& sc, int idx, int k) {
+  instr::PhaseScope phase(instr::Phase::kTreePoly);
+  const TreeNode& node = st.tree.node(idx);
+  if (st.modular.enabled) {
+    auto mc = std::make_unique<modular::ModularCombine>(
+        st.tree.node(node.right).t, st.tree.node(node.left).t, st.rs, k,
+        st.modular);
+    if (mc->worthwhile()) {
+      sc.mcombine = std::move(mc);
+      constexpr TaskKind kModularKinds[10] = {
+          TaskKind::kModPrep,  TaskKind::kModBlock, TaskKind::kModBlock,
+          TaskKind::kModBlock, TaskKind::kModBlock, TaskKind::kModCrt,
+          TaskKind::kModCrt,   TaskKind::kModCrt,   TaskKind::kModCrt,
+          TaskKind::kModPublish};
+      for (std::size_t t = 0; t < sc.tasks.size(); ++t) {
+        st.graph->task(sc.tasks[t]).kind = kModularKinds[t];
+      }
+      return;
+    }
+  }
+  const BigInt& ck = st.rs.c[static_cast<std::size_t>(k)];
+  const BigInt& cp = st.rs.c[static_cast<std::size_t>(k - 1)];
+  sc.u = u_matrix(st.rs, k);
+  sc.s = ck * ck * cp * cp;
 }
 
 /// Builds the whole task graph for one run.  Returns the id of the root
@@ -172,23 +250,16 @@ class GraphBuilder {
     }
     const TaskId publish = g_.add(TaskKind::kModPublish, -1, [&st] {
       auto rs = st.mprs->finalize();
+      st.mprs.reset();  // every stage-1 task has run: free the images
       RemainderSequence full =
           rs ? std::move(*rs) : compute_remainder_sequence(st.work);
       if (full.extended()) {
-        throw NonNormalSequence("repeated roots detected");
+        throw RepeatedRoots("repeated roots detected");
       }
       if (real_root_count(full) != st.n) {
         throw NonNormalSequence("input has non-real roots");
       }
-      instr::PhaseScope phase(instr::Phase::kRemainder);
       st.rs = std::move(full);
-      for (int i = 1; i <= st.n - 1; ++i) {
-        const auto ui = static_cast<std::size_t>(i);
-        st.q0[ui] = st.rs.Q[ui].coeff(0);
-        st.q1[ui] = st.rs.Q[ui].coeff(1);
-        st.ci_sq[ui] = st.rs.c[ui] * st.rs.c[ui];
-        st.cprev_sq[ui] = st.rs.c[ui - 1] * st.rs.c[ui - 1];
-      }
     });
     TaskId prev = prep;
     for (std::size_t l = 1; l <= prs.num_levels(); ++l) {
@@ -237,21 +308,14 @@ class GraphBuilder {
     if (pc_.sequential_remainder) {
       // One task for the whole stage (the paper's run-time option).
       const TaskId all = g_.add(TaskKind::kCoeff, -1, [&st] {
-        const RemainderSequence full = compute_remainder_sequence(st.work);
+        RemainderSequence full = compute_remainder_sequence(st.work);
         if (full.extended()) {
-          throw NonNormalSequence("repeated roots detected");
+          throw RepeatedRoots("repeated roots detected");
         }
         if (real_root_count(full) != st.n) {
           throw NonNormalSequence("input has non-real roots");
         }
-        st.rs = full;
-        for (int i = 1; i <= st.n - 1; ++i) {
-          const auto ui = static_cast<std::size_t>(i);
-          st.q0[ui] = st.rs.Q[ui].coeff(0);
-          st.q1[ui] = st.rs.Q[ui].coeff(1);
-          st.ci_sq[ui] = st.rs.c[ui] * st.rs.c[ui];
-          st.cprev_sq[ui] = st.rs.c[ui - 1] * st.rs.c[ui - 1];
-        }
+        st.rs = std::move(full);
       });
       g_.add_edge(seed, all);
       for (int k = 2; k <= n; ++k) mark_[static_cast<std::size_t>(k)] = all;
@@ -421,144 +485,70 @@ class GraphBuilder {
       return;
     }
 
-    // Internal non-spine node: two matrix products, four entry tasks each
-    // (the paper's COMPUTEPOLY decomposition, Section 3.2).
+    // Internal non-spine node: prep -> four first-product tasks -> four
+    // second-product tasks -> publish (the paper's COMPUTEPOLY split into
+    // two matrix products of four entry tasks each, Section 3.2).
     const int k = nd.split;
-    const TaskId left_ready = t_ready_[static_cast<std::size_t>(nd.left)];
-    const TaskId right_ready = t_ready_[static_cast<std::size_t>(nd.right)];
-    const TaskId uk_ready = q_ready_[static_cast<std::size_t>(k)];
-
-    if (modular_combine_gate(nd)) {
-      build_modular_combine_tasks(idx, k, left_ready, right_ready, uk_ready);
-      return;
-    }
-
-    TaskId me1[2][2];
-    for (int r = 0; r < 2; ++r) {
-      for (int c = 0; c < 2; ++c) {
-        me1[r][c] = g_.add(TaskKind::kMatEntry1, idx, [&st, idx, k, r, c] {
-          instr::PhaseScope phase(instr::Phase::kTreePoly);
-          TreeNode& node = st.tree.node(idx);
-          const PolyMat22 u = u_matrix(st.rs, k);
-          const PolyMat22& tl = st.tree.node(node.left).t;
-          st.scratch[static_cast<std::size_t>(idx)].w.e[r][c] =
-              PolyMat22::mul_entry(u, tl, r, c);
-        });
-        g_.add_edge(left_ready, me1[r][c]);
-        g_.add_edge(uk_ready, me1[r][c]);
-      }
-    }
-    TaskId me2[2][2];
-    for (int r = 0; r < 2; ++r) {
-      for (int c = 0; c < 2; ++c) {
-        me2[r][c] = g_.add(TaskKind::kMatEntry2, idx, [&st, idx, k, r, c] {
-          instr::PhaseScope phase(instr::Phase::kTreePoly);
-          TreeNode& node = st.tree.node(idx);
-          const PolyMat22& tr = st.tree.node(node.right).t;
-          const PolyMat22& w = st.scratch[static_cast<std::size_t>(idx)].w;
-          const BigInt& ck = st.rs.c[static_cast<std::size_t>(k)];
-          const BigInt& cp = st.rs.c[static_cast<std::size_t>(k - 1)];
-          node.t.e[r][c] = PolyMat22::mul_entry(tr, w, r, c)
-                               .divexact_scalar(ck * ck * cp * cp);
-        });
-        g_.add_edge(right_ready, me2[r][c]);
-        g_.add_edge(me1[0][c], me2[r][c]);
-        g_.add_edge(me1[1][c], me2[r][c]);
-      }
-    }
-    const TaskId publish = g_.add(TaskKind::kSetPoly, idx, [&st, idx] {
-      TreeNode& node = st.tree.node(idx);
-      node.has_t = true;
-      node.poly = node.t.at(1, 1);
-      check_internal(node.poly.degree() == node.length(),
-                     "parallel COMPUTEPOLY: unexpected degree");
+    RunState::NodeScratch* sc = &st.scratch[static_cast<std::size_t>(idx)];
+    const TaskId prep = g_.add(TaskKind::kSetPoly, idx, [&st, sc, idx, k] {
+      combine_prep(st, *sc, idx, k);
     });
-    for (int r = 0; r < 2; ++r) {
-      for (int c = 0; c < 2; ++c) g_.add_edge(me2[r][c], publish);
-    }
-    t_ready_[static_cast<std::size_t>(idx)] = publish;
-  }
+    g_.add_edge(t_ready_[static_cast<std::size_t>(nd.left)], prep);
+    g_.add_edge(t_ready_[static_cast<std::size_t>(nd.right)], prep);
+    g_.add_edge(q_ready_[static_cast<std::size_t>(k)], prep);
+    sc->tasks[0] = prep;
 
-  /// Structural gate deciding at graph-build time (before any polynomial
-  /// exists) whether an internal node gets the modular combine task shape.
-  /// Deliberately coarse: coefficient bits of T_{i,j} entries grow like
-  /// length * bits(F_0), so estimate (len+2) * beta / 2 with beta =
-  /// 2*||F_0|| + 3*ceil(log2 n) + 2 and compare against min_combine_bits.
-  /// The prep task re-decides with the *exact* bound (worthwhile()); a
-  /// node that passes here but fails there just runs its no-op modular
-  /// tasks and combines exactly in the publish task.
-  bool modular_combine_gate(const TreeNode& nd) const {
-    const RunState& st = st_;
-    if (!st.modular.enabled) return false;
-    const int width = std::max(1, st.modular.tree_task_width);
-    if (nd.length() < 2 * width) return false;
-    const std::size_t beta =
-        2 * st.work.max_coeff_bits() +
-        3 * ceil_log2_sz(static_cast<std::size_t>(st.n) + 1) + 2;
-    const std::size_t estimate =
-        (static_cast<std::size_t>(nd.length()) + 2) * beta / 2;
-    return estimate >= st.modular.min_combine_bits;
-  }
-
-  /// Modular COMPUTEPOLY: prep (select primes from the exact bound) ->
-  /// width strided image-block tasks -> four per-entry CRT tasks ->
-  /// publish.  Every stage no-ops when prep found the combine not
-  /// worthwhile; publish then falls back to the exact t_combine inline.
-  void build_modular_combine_tasks(int idx, int k, TaskId left_ready,
-                                   TaskId right_ready, TaskId uk_ready) {
-    RunState& st = st_;
-    const TaskId prep = g_.add(TaskKind::kModPrep, idx, [&st, idx, k] {
-      instr::PhaseScope phase(instr::Phase::kTreePoly);
-      TreeNode& node = st.tree.node(idx);
-      st.scratch[static_cast<std::size_t>(idx)].mcombine =
-          std::make_unique<modular::ModularCombine>(
-              st.tree.node(node.right).t, st.tree.node(node.left).t, st.rs,
-              k, st.modular);
-    });
-    g_.add_edge(left_ready, prep);
-    g_.add_edge(right_ready, prep);
-    g_.add_edge(uk_ready, prep);
-
-    const int width = std::max(1, st.modular.tree_task_width);
-    std::vector<TaskId> blocks;
-    blocks.reserve(static_cast<std::size_t>(width));
-    for (int w = 0; w < width; ++w) {
-      const TaskId b = g_.add(TaskKind::kModBlock, idx, [&st, idx, w, width] {
-        st.scratch[static_cast<std::size_t>(idx)].mcombine->run_images(
-            static_cast<std::size_t>(w), static_cast<std::size_t>(width));
-      });
-      g_.add_edge(prep, b);
-      blocks.push_back(b);
-    }
-    TaskId entries[2][2];
-    for (int r = 0; r < 2; ++r) {
-      for (int c = 0; c < 2; ++c) {
-        entries[r][c] = g_.add(TaskKind::kModCrt, idx, [&st, idx, r, c] {
-          st.scratch[static_cast<std::size_t>(idx)].mcombine
-              ->reconstruct_entry(r, c);
-        });
-        for (TaskId b : blocks) g_.add_edge(b, entries[r][c]);
-      }
-    }
-    const TaskId publish = g_.add(TaskKind::kModPublish, idx, [&st, idx, k] {
-      TreeNode& node = st.tree.node(idx);
-      auto& sc = st.scratch[static_cast<std::size_t>(idx)];
-      if (sc.mcombine->worthwhile()) {
-        node.t = sc.mcombine->take_result();
-      } else {
+    // Entry e = 2r + c.  On the modular path first-product task e images
+    // the primes of residue class e (mod 4) and second-product task e
+    // reconstructs entry e, which needs every image; the exact entry
+    // (r, c) of the second product needs column c of the first.  The
+    // static edges cover both: every second-product task waits for all
+    // four first-product tasks.
+    for (int e = 0; e < 4; ++e) {
+      const TaskId t = g_.add(TaskKind::kMatEntry1, idx, [&st, sc, idx, e] {
+        if (sc->mcombine) {
+          sc->mcombine->run_images(static_cast<std::size_t>(e), 4);
+          return;
+        }
         instr::PhaseScope phase(instr::Phase::kTreePoly);
-        node.t = t_combine(st.tree.node(node.right).t,
-                           st.tree.node(node.left).t, st.rs, k);
+        const PolyMat22& tl = st.tree.node(st.tree.node(idx).left).t;
+        sc->w.e[e / 2][e % 2] = PolyMat22::mul_entry(sc->u, tl, e / 2, e % 2);
+      });
+      g_.add_edge(prep, t);
+      sc->tasks[static_cast<std::size_t>(1 + e)] = t;
+    }
+    for (int e = 0; e < 4; ++e) {
+      const TaskId t = g_.add(TaskKind::kMatEntry2, idx, [&st, sc, idx, e] {
+        if (sc->mcombine) {
+          sc->mcombine->reconstruct_entry(e / 2, e % 2);
+          return;
+        }
+        instr::PhaseScope phase(instr::Phase::kTreePoly);
+        TreeNode& node = st.tree.node(idx);
+        const PolyMat22& tr = st.tree.node(node.right).t;
+        node.t.e[e / 2][e % 2] =
+            PolyMat22::mul_entry(tr, sc->w, e / 2, e % 2)
+                .divexact_scalar(sc->s);
+      });
+      for (int f = 1; f <= 4; ++f) g_.add_edge(sc->tasks[f], t);
+      sc->tasks[static_cast<std::size_t>(5 + e)] = t;
+    }
+    const TaskId publish = g_.add(TaskKind::kSetPoly, idx, [&st, sc, idx] {
+      TreeNode& node = st.tree.node(idx);
+      if (sc->mcombine) {
+        node.t = sc->mcombine->take_result();
+        sc->mcombine.reset();
       }
-      sc.mcombine.reset();
+      sc->u = PolyMat22{};
+      sc->w = PolyMat22{};
+      sc->s = BigInt();
       node.has_t = true;
       node.poly = node.t.at(1, 1);
       check_internal(node.poly.degree() == node.length(),
-                     "modular COMPUTEPOLY: unexpected degree");
+                     "COMPUTEPOLY: unexpected degree");
     });
-    for (int r = 0; r < 2; ++r) {
-      for (int c = 0; c < 2; ++c) g_.add_edge(entries[r][c], publish);
-    }
+    for (int f = 5; f <= 8; ++f) g_.add_edge(sc->tasks[f], publish);
+    sc->tasks[9] = publish;
     t_ready_[static_cast<std::size_t>(idx)] = publish;
   }
 
@@ -602,11 +592,11 @@ class GraphBuilder {
     });
     g_.add_edge(roots_ready_[static_cast<std::size_t>(nd.left)], sort);
     g_.add_edge(roots_ready_[static_cast<std::size_t>(nd.right)], sort);
-    // No interval work before stage 1 has passed its last check: the
-    // exact paths test for non-real roots only in the final iteration,
-    // and an interleave built from such an input is unsorted, so an
-    // early interval task would fail with an internal error instead of
-    // the NonNormalSequence that routes the input to the Sturm fallback.
+    // No interval work before stage 1 has passed its last check: a sign
+    // break in a late iteration means non-real roots, and an interleave
+    // built from such an input is unsorted, so an early interval task
+    // would fail with an internal error instead of the NonNormalSequence
+    // that routes the input to the Sturm fallback.
     g_.add_edge(mark_[static_cast<std::size_t>(st.n)], sort);
 
     // prein[j] = the task that analyzes interleaving point j.  With
@@ -654,6 +644,7 @@ struct StagedParallelRun::Impl {
   std::size_t mu = 0;
   std::size_t bound = 0;
   int degree = 0;  // of the original (pre-primitive-part) input
+  bool validate = false;
   bool finished = false;
 
   explicit Impl(const Poly& work) : state(work) {}
@@ -676,9 +667,11 @@ std::unique_ptr<StagedParallelRun> stage_parallel_run(
   RunState& state = impl.state;
   impl.mu = config.mu_bits;
   impl.degree = p.degree();
+  impl.validate = config.validate;
   state.mu = config.mu_bits;
   state.solver = config.solver;
   state.modular = config.modular;
+  state.graph = &graph;
   impl.bound = root_bound_pow2(work);
   state.bound_scaled = BigInt::pow2(impl.bound + config.mu_bits);
 
@@ -709,8 +702,26 @@ RootReport finish_staged_run(StagedParallelRun& run) {
   for (const auto& sc : state.scratch) {
     for (const auto& s : sc.stats) report.stats += s;
   }
+  if (impl.validate) validate_roots(state.work, report.roots, impl.mu);
   return report;
 }
+
+namespace {
+
+/// Stages `work` (primitive, degree >= 2) into a fresh graph and runs it
+/// on a pool of its own.
+void run_graph(const Poly& work, const RootFinderConfig& config,
+               const ParallelConfig& parallel, ParallelRunResult& out) {
+  TaskGraph graph;
+  auto staged = stage_parallel_run(work, config, parallel, graph);
+  graph.validate();
+  TaskPool pool(parallel.num_threads, parallel.pool_policy);
+  out.pool = pool.run(graph);
+  out.report = finish_staged_run(*staged);
+  out.trace = TaskTrace::from_graph(graph);
+}
+
+}  // namespace
 
 ParallelRunResult find_real_roots_parallel(const Poly& p,
                                            const RootFinderConfig& config,
@@ -721,31 +732,74 @@ ParallelRunResult find_real_roots_parallel(const Poly& p,
   if (config.strategy == FinderStrategy::kRadii) {
     return isolate::find_real_roots_radii_parallel(p, config, parallel);
   }
+
+  // The graph works on the primitive part; scaling by a positive rational
+  // constant changes no root.  Repeated roots are detected by the
+  // remainder sequence itself (it vanishes early, Section 2.3); only then
+  // do we pay for a squarefree decomposition, keeping the factors for the
+  // multiplicities (see DESIGN.md for why this realizes the paper's
+  // extended-sequence stage).
   ParallelRunResult out;
-
-  if (p.primitive_part().degree() == 1) {
-    out.report = find_real_roots(p, config);
-    out.used_sequential_fallback = true;
-    return out;
-  }
-
-  TaskGraph graph;
-  auto staged = stage_parallel_run(p, config, parallel, graph);
-  graph.validate();
-
-  TaskPool pool(parallel.num_threads, parallel.pool_policy);
+  Poly work;  // set whenever the first graph run did not answer
+  std::vector<SquarefreeFactor> factors;
+  bool reduced = false;
+  const auto reduce_to_squarefree = [&] {
+    factors = squarefree_decompose(work);
+    reduced = true;
+    work = squarefree_part(work);
+  };
+  bool by_graph = false;
+  bool sturm = false;
   try {
-    out.pool = pool.run(graph);
+    if (p.degree() >= 2) {
+      try {
+        run_graph(p, config, parallel, out);
+        by_graph = true;
+      } catch (const RepeatedRoots&) {
+        work = p.primitive_part();
+        reduce_to_squarefree();
+        if (work.degree() >= 2) {
+          run_graph(work, config, parallel, out);
+          by_graph = true;
+        }
+      }
+    } else {
+      work = p.primitive_part();
+    }
   } catch (const NonNormalSequence&) {
-    // Repeated roots or a non-normal sequence: the sequential driver owns
-    // the squarefree/fallback logic.
-    out.report = find_real_roots(p, config);
-    out.used_sequential_fallback = true;
-    return out;
+    // A non-normal sequence or non-real roots: the tree algorithm does not
+    // apply, the Sturm baseline does.
+    if (!config.allow_sturm_fallback) throw;
+    sturm = true;
+    if (!reduced) {
+      work = p.primitive_part();
+      reduce_to_squarefree();
+    }
   }
 
-  out.report = finish_staged_run(*staged);
-  out.trace = TaskTrace::from_graph(graph);
+  RootReport& report = out.report;
+  if (!by_graph) {
+    // A linear input (or squarefree part), or the Sturm fallback.
+    out.used_sequential_fallback = true;
+    report.mu = config.mu_bits;
+    report.bound_pow2 = root_bound_pow2(work);
+    report.distinct_roots = work.degree();
+    report.used_sturm_fallback = sturm;
+    if (sturm) {
+      report.roots = sturm_find_roots(work, config.mu_bits, config.solver,
+                                      &report.stats);
+    } else {
+      report.roots = {BigInt::cdiv(-(work.coeff(0) << config.mu_bits),
+                                   work.coeff(1))};
+    }
+    if (config.validate) validate_roots(work, report.roots, config.mu_bits);
+  }
+  report.degree = p.degree();
+  report.squarefree_reduced = reduced;
+  report.multiplicities =
+      reduced ? detail::assign_multiplicities(report.roots, config.mu_bits,
+                                              factors)
+              : std::vector<unsigned>(report.roots.size(), 1);
   return out;
 }
 

@@ -1,21 +1,25 @@
-// The task-parallel driver (Section 3 of the paper).
+// The driver of the paper strategy: one dynamically scheduled task program
+// (Section 3 of the paper).
 //
 // Builds one task graph covering both stages of the algorithm --
 //   stage 1: the remainder/quotient sequence, parallelized across the
 //            coefficient computations of Eq. (18) (Section 3.1), with a
 //            configurable grain;
-//   stage 2: the tree computations (Section 3.2): COMPUTEPOLY split into
-//            two matrix products of four entry-tasks each, SORT,
-//            PREINTERVAL (one task per interleaving point) and INTERVAL
-//            (one task per root), with the dependency structure of
-//            Fig. 3.2 --
-// and executes it on a dynamic central-queue TaskPool with any number of
-// worker threads.  The execution also records a TaskTrace with
-// deterministic per-task costs, which the discrete-event simulator
-// (src/sim/) replays under arbitrary simulated processor counts.
+//   stage 2: the tree computations (Section 3.2): COMPUTEPOLY as prep ->
+//            two matrix products of four entry-tasks each -> publish,
+//            SORT, PREINTERVAL (one task per interleaving point) and
+//            INTERVAL (one task per root), with the dependency structure
+//            of Fig. 3.2 --
+// and executes it on a dynamic TaskPool with any number of worker
+// threads; at one thread the pool runs every task inline on the caller,
+// which is what find_real_roots() does.  Each combine's prep task makes
+// the node's one modular-vs-exact decision at run time.  The execution
+// also records a TaskTrace with deterministic per-task costs, which the
+// discrete-event simulator (src/sim/) replays under arbitrary simulated
+// processor counts.
 //
-// Results are bit-identical to the sequential driver for every thread
-// count: each task is a pure function of its dependencies' outputs.
+// Results are bit-identical for every thread count, grain and policy:
+// each task is a pure function of its dependencies' outputs.
 #pragma once
 
 #include <memory>
@@ -57,12 +61,16 @@ struct ParallelRunResult {
   RootReport report;
   TaskTrace trace;          ///< replayable DAG with per-task costs
   TaskPoolStats pool;
-  bool used_sequential_fallback = false;  ///< repeated roots / non-normal
+  /// No task graph produced the answer: a linear input or the Sturm
+  /// fallback (the trace is then empty).
+  bool used_sequential_fallback = false;
 };
 
-/// Parallel equivalent of find_real_roots().  Inputs with repeated roots
-/// or a non-normal remainder sequence are delegated to the sequential
-/// driver (the trace is then empty).
+/// Finds all real roots of p (find_real_roots() is this call with the
+/// default ParallelConfig).  A remainder sequence that vanishes early
+/// (repeated roots) restages the graph once on the squarefree part; any
+/// other non-normal sequence or non-real root goes to the Sturm fallback
+/// (RootFinderConfig::allow_sturm_fallback).
 ParallelRunResult find_real_roots_parallel(const Poly& p,
                                            const RootFinderConfig& config,
                                            const ParallelConfig& parallel);
@@ -99,14 +107,15 @@ class StagedParallelRun {
 /// (callers solve the linear case directly, as find_real_roots does).
 /// A NonNormalSequence raised by the staged tasks (repeated roots,
 /// non-real roots) surfaces from TaskPool::run; the caller owns the
-/// sequential-fallback policy.  The two trailing parameters are ignored;
+/// fallback policy.  The two trailing parameters are ignored;
 /// they keep call sites written against the retired tree-piece API
 /// (tag offset, forced tags) compiling.
 std::unique_ptr<StagedParallelRun> stage_parallel_run(
     const Poly& p, const RootFinderConfig& config,
     const ParallelConfig& parallel, TaskGraph& graph, int = 0, bool = false);
 
-/// Extracts the RootReport after the shared graph ran to completion.
+/// Extracts the RootReport after the shared graph ran to completion, and
+/// runs the Sturm cross-check when RootFinderConfig::validate was set.
 RootReport finish_staged_run(StagedParallelRun& run);
 
 }  // namespace pr

@@ -6,6 +6,8 @@
 // Tiwari).  Repeated roots are reduced away by squarefree decomposition
 // and reported through per-root multiplicities; inputs whose remainder
 // sequence is not normal fall back to the Sturm baseline (configurable).
+// The work runs as the task graph of core/parallel_driver.hpp, on the
+// calling thread; find_real_roots_parallel() runs it on more threads.
 #pragma once
 
 #include <cstddef>
@@ -65,10 +67,10 @@ class RealRootFinder {
  public:
   explicit RealRootFinder(RootFinderConfig config = {}) : config_(config) {}
 
-  /// Finds all real roots of p.  Preconditions: p is non-constant and all
-  /// its roots are real (checked via a Sturm count when validate is on;
-  /// otherwise a violation surfaces as an exception from the internal
-  /// consistency checks).
+  /// Finds all real roots of p: find_real_roots_parallel() with the
+  /// default ParallelConfig (one thread).  Precondition: p is
+  /// non-constant.  Non-real roots go to the Sturm fallback, or throw
+  /// NonNormalSequence when it is disabled.
   RootReport find(const Poly& p) const;
 
   const RootFinderConfig& config() const { return config_; }

@@ -1,8 +1,10 @@
 // Bottom-up computation of the tree polynomials (Sections 2.1 and 3.2) and
 // of the per-node root approximations.
 //
-// These are the single units of work the parallel driver schedules as
-// tasks; the sequential driver simply runs them in postorder.
+// Each function is one node's step, callable on its own: running
+// compute_node_poly and then compute_node_roots over the tree in postorder
+// replays, step by step, what the task graph of core/parallel_driver.hpp
+// computes (the graph splits the same steps into finer tasks).
 #pragma once
 
 #include "core/interval_solver.hpp"
@@ -28,7 +30,7 @@ std::vector<BigInt> merge_child_roots(const Tree& tree, int idx);
 /// Analyzes the interleaving points `points[begin..end)` of polynomial
 /// `p`, writing the results into `infos[begin..end)`.  With end == begin+1
 /// this is exactly one of the paper's PREINTERVAL tasks; larger ranges are
-/// the grain-coarsened ("chunked") variant the parallel driver schedules
+/// the grain-coarsened ("chunked") variant the driver schedules
 /// when ParallelConfig::grain_chunk > 1 -- the same work, fewer
 /// dispatches.  Results are independent of the chunking.
 void analyze_interleave_range(const Poly& p, const std::vector<BigInt>& points,
@@ -42,14 +44,5 @@ void compute_node_roots(Tree& tree, int idx, std::size_t mu,
                         const BigInt& bound_scaled,
                         const IntervalSolverConfig& config,
                         IntervalStats* stats);
-
-/// Sequential driver: computes every polynomial and every root vector in
-/// postorder; afterwards tree.node(tree.root_index()).roots holds the
-/// mu-approximations of the roots of F_0.
-void run_tree_sequential(Tree& tree, const RemainderSequence& rs,
-                         std::size_t mu, const BigInt& bound_scaled,
-                         const IntervalSolverConfig& config,
-                         IntervalStats* stats,
-                         const modular::ModularConfig* modular = nullptr);
 
 }  // namespace pr

@@ -58,13 +58,10 @@ RootReport assemble_report(const IsolationRun& run,
                            const RootFinderConfig& config,
                            std::vector<BigInt> roots, const QirStats& qir);
 
-/// Sequential kRadii pipeline (RealRootFinder::find dispatches here).
-RootReport find_real_roots_radii(const Poly& p,
-                                 const RootFinderConfig& config);
-
-/// Parallel kRadii pipeline (find_real_roots_parallel dispatches here):
-/// sequential isolation, then the cell refinements run on a TaskPool.
-/// Bit-identical to the sequential pipeline for every thread count.
+/// The kRadii pipeline (find_real_roots_parallel, and through it
+/// find_real_roots, dispatches here): isolation on the calling thread,
+/// then the cell refinements run as kRefine tasks on a TaskPool (inline at
+/// one thread).  Bit-identical for every thread count.
 ParallelRunResult find_real_roots_radii_parallel(
     const Poly& p, const RootFinderConfig& config,
     const ParallelConfig& parallel);

@@ -7,8 +7,6 @@
 #include "instr/phase.hpp"
 #include "modular/ntt.hpp"
 #include "modular/polyzp.hpp"
-#include "sched/task_graph.hpp"
-#include "sched/task_pool.hpp"
 #include "support/error.hpp"
 
 namespace pr::modular {
@@ -195,20 +193,20 @@ ModularCombine::ModularCombine(const PolyMat22& t_right,
     if (f.is_zero(cki) || f.is_zero(cpi)) continue;
     have_bits += static_cast<std::size_t>(std::bit_width(p)) - 1;
     primes_.push_back(p);
+    fields_.push_back(f);
     s_imgs_.push_back(f.mul(f.mul(cki, cki), f.mul(cpi, cpi)));
   }
   if (primes_.size() < 3) return;
 
-  basis_ = std::make_unique<CrtBasis>(primes_);
   rows_.resize(primes_.size());
   instr::on_modular_primes(primes_.size());
   worthwhile_ = true;
 }
 
 void ModularCombine::run_image(std::size_t slot) {
-  // The basis already built the field (Miller-Rabin per construction is
-  // not free at hundreds of primes per combine).
-  const PrimeField& f = basis_->field(slot);
+  // The selection screen already built the field (Miller-Rabin per
+  // construction is not free at hundreds of primes per combine).
+  const PrimeField& f = fields_[slot];
   if (use_ntt_combine_ &&
       NttTables::for_prime(f.prime()).max_size() >= ntt_size_) {
     // Every table prime supports 2^20-point transforms; the size check
@@ -259,7 +257,7 @@ void ModularCombine::run_image(std::size_t slot) {
 }
 
 void ModularCombine::run_image_ntt(std::size_t slot) {
-  const PrimeField& f = basis_->field(slot);
+  const PrimeField& f = fields_[slot];
   NttTables& tables = NttTables::for_prime(f.prime());
   const NttPlan& plan = tables.plan(ntt_size_);
   const std::size_t n = ntt_size_;
@@ -331,6 +329,8 @@ void ModularCombine::run_images(std::size_t first, std::size_t stride) {
 void ModularCombine::reconstruct_entry(int r, int c) {
   if (!worthwhile_) return;
   instr::PhaseScope phase(instr::Phase::kTreePoly);
+  std::call_once(basis_once_,
+                 [this] { basis_ = std::make_unique<CrtBasis>(primes_); });
   const std::size_t k = primes_.size();
   const auto idx = static_cast<std::size_t>(2 * r + c);
   const std::size_t count = len_[r][c];
@@ -351,6 +351,10 @@ void ModularCombine::reconstruct_entry(int r, int c) {
                               count);
   }
   result_.e[r][c] = Poly(std::move(coeffs));
+  if (entries_left_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    basis_.reset();
+    rows_ = {};
+  }
 }
 
 void ModularCombine::reconstruct() {
@@ -372,33 +376,8 @@ std::optional<PolyMat22> modular_t_combine(const PolyMat22& t_right,
                                            const ModularConfig& cfg) {
   ModularCombine mc(t_right, t_left, rs, k, cfg);
   if (!mc.worthwhile()) return std::nullopt;
-
-  const int threads = std::max(1, cfg.num_threads);
-  if (threads == 1) {
-    mc.run_images(0, 1);
-    mc.reconstruct();
-    return mc.take_result();
-  }
-
-  TaskGraph g;
-  const std::size_t width = std::min<std::size_t>(
-      mc.num_primes(), static_cast<std::size_t>(2 * threads));
-  std::vector<TaskId> images;
-  for (std::size_t s = 0; s < width; ++s) {
-    images.push_back(g.add(TaskKind::kModBlock,
-                           static_cast<std::int32_t>(s),
-                           [&mc, s, width] { mc.run_images(s, width); }));
-  }
-  for (int r = 0; r < 2; ++r) {
-    for (int c = 0; c < 2; ++c) {
-      const TaskId e = g.add(TaskKind::kModCrt, 2 * r + c,
-                             [&mc, r, c] { mc.reconstruct_entry(r, c); });
-      for (TaskId img : images) g.add_edge(img, e);
-    }
-  }
-  g.validate();
-  TaskPool pool(threads, PoolPolicy::kCentralQueue);
-  pool.run(g);
+  mc.run_images(0, 1);
+  mc.reconstruct();
   return mc.take_result();
 }
 

@@ -13,14 +13,16 @@
 // is exact.  CRT with symmetric lift under that bound reproduces
 // t_combine() bit for bit.
 //
-// The split-phase API (run_images / reconstruct_entry) lets the parallel
-// driver schedule strided image blocks and the four entry reconstructions
-// as separate tasks; modular_t_combine() is the one-call form the
-// sequential tree builder uses.
+// The split-phase API (run_images / reconstruct_entry) lets the driver
+// schedule four strided image blocks and the four entry reconstructions
+// as separate tasks; modular_t_combine() is the one-call form, run inline
+// (the postorder step compute_node_poly uses it).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -54,7 +56,10 @@ class ModularCombine {
   void run_images(std::size_t first, std::size_t stride);
 
   /// After *all* images: reconstructs entry (r, c) by CRT.  The four
-  /// entries may run concurrently.
+  /// entries may run concurrently.  The first one to run builds the CRT
+  /// basis and the last one frees it with the residues, so a combine holds
+  /// its quadratic-size Garner tables only while it reconstructs -- in a
+  /// task graph many combines sit between prep and CRT at once.
   void reconstruct_entry(int r, int c);
 
   /// Inline form: all four entries, then the combine counter.
@@ -88,17 +93,20 @@ class ModularCombine {
   std::size_t ntt_size_ = 0;
 
   std::vector<std::uint64_t> primes_;
+  std::vector<PrimeField> fields_;  // one per prime, for the images
   /// s mod p per selected prime, Montgomery form -- a byproduct of the
   /// selection screen, so the image transforms never re-reduce the
   /// multi-thousand-bit s.
   std::vector<Zp> s_imgs_;
+  std::once_flag basis_once_;
   std::unique_ptr<CrtBasis> basis_;
+  std::atomic<int> entries_left_{4};
   /// rows_[slot][2*r+c][j]: canonical residue of coeff j of entry (r,c).
   std::vector<std::vector<std::vector<std::uint64_t>>> rows_;
   PolyMat22 result_;
 };
 
-/// One-call driver: images (on cfg.num_threads pool workers when > 1) and
+/// One-call form, inline on the calling thread: images, then
 /// reconstruction.  nullopt == not worthwhile; caller should run the exact
 /// t_combine.
 std::optional<PolyMat22> modular_t_combine(const PolyMat22& t_right,

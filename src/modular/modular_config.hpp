@@ -15,14 +15,10 @@ namespace pr::modular {
 struct ModularConfig {
   /// Master switch for both fast paths (remainder sequence and the
   /// tree-stage matrix combines).  Off by default: the exact path is the
-  /// verified baseline.
+  /// verified baseline.  There is no thread count here: the one-call
+  /// entry points run inline, and the driver schedules modular work as
+  /// graph tasks on its own pool (four image blocks per combine node).
   bool enabled = false;
-
-  /// Worker threads for the *standalone* multimodular remainder sequence
-  /// (compute_remainder_sequence_multimodular) and one-shot combines; the
-  /// parallel driver ignores this and schedules per-prime work on its own
-  /// pool.  1 = run inline.
-  int num_threads = 1;
 
   /// Degrees below this use the exact remainder sequence (word-sized
   /// coefficients do not amortize the CRT setup).
@@ -41,10 +37,6 @@ struct ModularConfig {
   /// reduction cost even when their coefficients are enormous).  Test
   /// seam: off forces every floor-clearing combine onto the modular path.
   bool combine_cost_gate = true;
-
-  /// Strided per-prime image tasks the parallel driver schedules per
-  /// modular combine node.
-  int tree_task_width = 4;
 
   /// Route mod-p convolutions above the calibrated length cutoff through
   /// the NTT (modular/ntt.hpp).  Bit-identical either way; off pins every

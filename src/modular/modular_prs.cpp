@@ -7,8 +7,6 @@
 #include "instr/counters.hpp"
 #include "instr/phase.hpp"
 #include "modular/tuning.hpp"
-#include "sched/task_graph.hpp"
-#include "sched/task_pool.hpp"
 #include "support/error.hpp"
 
 namespace pr::modular {
@@ -396,50 +394,9 @@ std::optional<RemainderSequence> compute_remainder_sequence_multimodular(
     const Poly& f0, const ModularConfig& cfg) {
   MultimodularPrs prs(f0, cfg);
   if (!prs.worthwhile()) return std::nullopt;
-
-  const int threads = std::max(1, cfg.num_threads);
-  if (threads == 1) {
-    for (std::size_t s = 0; s < prs.num_slots(); ++s) prs.run_image(s);
-    prs.prepare_crt(1);
-    prs.run_crt(0);
-    return prs.finalize();
-  }
-
-  // Pool execution: batched image tasks fan out with no dependencies, a
-  // barrier builds the basis, then each level chains prepare -> waves ->
-  // finish (levels stay sequential through the chain's edges; only the
-  // waves of one level overlap).
-  TaskGraph g;
-  const std::size_t waves =
-      crt_wave_fanout_cap(modular_tuning().crt, threads);
-  const TaskId prep = g.add(TaskKind::kModPrep, -1,
-                            [&prs, waves] { prs.prepare_crt(waves); });
-  for (std::size_t t = 0; t < prs.num_image_tasks(threads); ++t) {
-    const TaskId img =
-        g.add(TaskKind::kPrimeImage, static_cast<std::int32_t>(t),
-              [&prs, t, threads] { prs.run_image_batch(t, threads); });
-    g.add_edge(img, prep);
-  }
-  TaskId prev = prep;
-  for (std::size_t l = 1; l <= prs.num_levels(); ++l) {
-    const int i = static_cast<int>(l);
-    const TaskId lp = g.add(TaskKind::kModPrep, i,
-                            [&prs, i] { prs.prepare_level(i); });
-    g.add_edge(prev, lp);
-    const TaskId fin = g.add(TaskKind::kModPublish, i,
-                             [&prs, i] { prs.finish_level(i); });
-    for (std::size_t w = 0; w < waves; ++w) {
-      const TaskId wt =
-          g.add(TaskKind::kModCrt, static_cast<std::int32_t>(w),
-                [&prs, i, w] { prs.run_crt_wave(i, w); });
-      g.add_edge(lp, wt);
-      g.add_edge(wt, fin);
-    }
-    prev = fin;
-  }
-  g.validate();
-  TaskPool pool(threads, PoolPolicy::kCentralQueue);
-  pool.run(g);
+  for (std::size_t s = 0; s < prs.num_slots(); ++s) prs.run_image(s);
+  prs.prepare_crt(1);
+  prs.run_crt(0);
   return prs.finalize();
 }
 

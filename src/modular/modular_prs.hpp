@@ -31,10 +31,9 @@
 // replacements exceed a small cap (a non-normal input makes *every* prime
 // look bad) or when the optional held-out-prime check fails.
 //
-// The slot API (run_image / prepare_crt / run_crt) exists so the parallel
-// driver can schedule each slot and wave as a task; the one-call wrapper
-// drives the same slots and waves, on an internal pool when
-// cfg.num_threads > 1.
+// The slot API (run_image / prepare_crt / run_crt) exists so the driver
+// can schedule each slot and wave as a task; the one-call wrapper drives
+// the same slots and waves inline on the calling thread.
 #pragma once
 
 #include <atomic>
@@ -186,8 +185,8 @@ class MultimodularPrs {
   std::vector<BigInt> level_coeffs_;  // F_{i+1} coefficients, wave-filled
 };
 
-/// One-call driver: images + CRT on cfg.num_threads pool workers (inline
-/// when <= 1), then finalize.  nullopt == caller should run the exact
+/// One-call form, inline on the calling thread: images + CRT, then
+/// finalize.  nullopt == caller should run the exact
 /// compute_remainder_sequence (always correct: the fast path never guesses).
 std::optional<RemainderSequence> compute_remainder_sequence_multimodular(
     const Poly& f0, const ModularConfig& cfg);

@@ -5,8 +5,8 @@
 // value-identical to its plain composed-operator spelling for all sign
 // combinations and across the inline/heap representation boundary (63-,
 // 64-, 65-bit operands).  The suite closes with whole-pipeline checks:
-// the sequential and parallel drivers must produce identical RootReports
-// on the Wilkinson and Berkowitz workloads.
+// one-thread and four-thread runs of the driver must produce identical
+// RootReports on the Wilkinson and Berkowitz workloads.
 #include "bigint/bigint.hpp"
 
 #include <gtest/gtest.h>

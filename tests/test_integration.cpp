@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "baseline/sturm_finder.hpp"
 #include "core/parallel_driver.hpp"
@@ -23,6 +25,17 @@
 namespace pr {
 namespace {
 
+/// Runs the tree stage through the postorder step functions: every node's
+/// polynomial, then every node's roots.
+void run_tree_postorder(Tree& tree, const RemainderSequence& rs,
+                        std::size_t mu, const BigInt& bound_scaled) {
+  for (int idx : tree.postorder()) compute_node_poly(tree, idx, rs);
+  for (int idx : tree.postorder()) {
+    compute_node_roots(tree, idx, mu, bound_scaled, IntervalSolverConfig{},
+                       nullptr);
+  }
+}
+
 TEST(Integration, EveryTreeLevelRootsInterleaveUpward) {
   // After a full run, the merged child roots of every node interleave the
   // node's own roots: child[i] separates parent[i] and parent[i+1] up to
@@ -33,8 +46,7 @@ TEST(Integration, EveryTreeLevelRootsInterleaveUpward) {
   const auto rs = compute_remainder_sequence(input.poly);
   Tree tree(input.poly.degree());
   const BigInt bound = BigInt::pow2(root_bound_pow2(input.poly) + mu);
-  IntervalSolverConfig scfg;
-  run_tree_sequential(tree, rs, mu, bound, scfg, nullptr);
+  run_tree_postorder(tree, rs, mu, bound);
   for (const auto& nd : tree.nodes()) {
     if (nd.empty() || nd.length() < 2) continue;
     const auto& parent = nd.roots;
@@ -61,8 +73,7 @@ TEST(Integration, TreeRootsAgreeWithSturmOracleEverywhere) {
   const auto rs = compute_remainder_sequence(input.poly);
   Tree tree(input.poly.degree());
   const BigInt bound = BigInt::pow2(root_bound_pow2(input.poly) + mu);
-  IntervalSolverConfig scfg;
-  run_tree_sequential(tree, rs, mu, bound, scfg, nullptr);
+  run_tree_postorder(tree, rs, mu, bound);
   // Not just the root node: every node's roots must be correct.
   IntervalSolverConfig cfg;
   for (const auto& nd : tree.nodes()) {
@@ -214,6 +225,61 @@ TEST(Integration, WholePipelineOnAllClassicFamilies) {
     const auto rep = find_real_roots(p, cfg);
     EXPECT_EQ(static_cast<int>(rep.roots.size()), p.degree());
     EXPECT_TRUE(std::is_sorted(rep.roots.begin(), rep.roots.end()));
+  }
+}
+
+// Guards the counts behind Tables 1-2 and Figs 2-7: find_real_roots, which
+// runs the task graph on the calling thread, performs exactly the
+// multiplications, divisions and additions of the postorder step-by-step
+// schedule, phase by phase, and gives the same roots and interval stats.
+TEST(Integration, GraphOpCountsMatchPostorderReplay) {
+  struct Case {
+    const char* name;
+    Poly poly;
+    std::size_t mu;
+  };
+  Prng paper_rng(24);
+  Prng jacobi_rng(0x17a);
+  const std::vector<Case> cases = {
+      {"paper-24", paper_input(24, paper_rng).poly, 107},
+      {"jacobi-40", random_jacobi_poly(40, 9, jacobi_rng), 54},
+  };
+  for (const auto& c : cases) {
+    RootFinderConfig cfg;
+    cfg.mu_bits = c.mu;
+    instr::reset_all();
+    const RootReport report = find_real_roots(c.poly, cfg);
+    const instr::PhaseCounts graph = instr::aggregate();
+    ASSERT_FALSE(report.squarefree_reduced) << c.name;
+    ASSERT_FALSE(report.used_sturm_fallback) << c.name;
+
+    instr::reset_all();
+    const Poly work = c.poly.primitive_part();
+    const std::size_t bound = root_bound_pow2(work);
+    const RemainderSequence rs = compute_remainder_sequence(work);
+    ASSERT_EQ(real_root_count(rs), work.degree()) << c.name;
+    Tree tree(work.degree());
+    const BigInt bound_scaled = BigInt::pow2(bound + c.mu);
+    IntervalStats stats;
+    for (int idx : tree.postorder()) compute_node_poly(tree, idx, rs);
+    for (int idx : tree.postorder()) {
+      compute_node_roots(tree, idx, c.mu, bound_scaled, cfg.solver, &stats);
+    }
+    const instr::PhaseCounts replay = instr::aggregate();
+
+    EXPECT_EQ(report.roots, tree.node(tree.root_index()).roots) << c.name;
+    EXPECT_EQ(report.stats.total_evals(), stats.total_evals()) << c.name;
+    EXPECT_EQ(report.stats.intervals_solved, stats.intervals_solved)
+        << c.name;
+    for (std::size_t ph = 0; ph < instr::kNumPhases; ++ph) {
+      const auto phase = static_cast<instr::Phase>(ph);
+      const std::string where =
+          std::string(c.name) + " phase " + instr::phase_name(phase);
+      EXPECT_EQ(graph[phase].mul_count, replay[phase].mul_count) << where;
+      EXPECT_EQ(graph[phase].div_count, replay[phase].div_count) << where;
+      EXPECT_EQ(graph[phase].add_count, replay[phase].add_count) << where;
+      EXPECT_EQ(graph[phase].bit_cost(), replay[phase].bit_cost()) << where;
+    }
   }
 }
 

@@ -1,6 +1,6 @@
 // The root-isolation subsystem (src/isolate/): Graeffe/Pellet root-radii
 // estimation, band-restricted Descartes isolation, QIR refinement, the
-// kRadii finder strategy (sequential + parallel, bit-identical to the
+// kRadii finder strategy (one thread and many, bit-identical to the
 // paper path on its domain), and the independent isolation certificate.
 #include "isolate/isolate.hpp"
 
@@ -292,7 +292,7 @@ TEST(Qir, RejectsNonIsolatingCell) {
                InvalidArgument);
 }
 
-// --- the kRadii strategy, sequential ----------------------------------------
+// --- the kRadii strategy, one thread ----------------------------------------
 
 TEST(IsolateStrategy, BitIdenticalToPaperOnInterleavingWorkloads) {
   Prng rng(11);

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/parallel_driver.hpp"
 #include "core/root_finder.hpp"
+#include "core/tree.hpp"
 #include "core/tree_builder.hpp"
 #include "gen/classic_polys.hpp"
 #include "gen/matrix_polys.hpp"
@@ -244,14 +246,41 @@ TEST(CrtTest, PrsBoundDominatesActualCoefficients) {
 
 // --- multimodular remainder sequence ----------------------------------------
 
-ModularConfig forced_on(int threads = 1) {
+ModularConfig forced_on() {
   ModularConfig cfg;
   cfg.enabled = true;
-  cfg.num_threads = threads;
   cfg.min_degree = 2;             // force the fast path even on small inputs
   cfg.min_combine_bits = 1;       // same for the tree combines
   cfg.combine_cost_gate = false;  // correctness tests, not a perf contest
   return cfg;
+}
+
+/// Runs `p` through the task graph with every multimodular path forced on
+/// and checks the RootReport against the exact pipeline's.  The trace must
+/// show that the modular stage 1 (kPrimeImage) and modular combines
+/// (kModBlock) really ran, and no reconstruction may have fallen back.
+void expect_graph_matches_exact(const Poly& p, const ModularConfig& modular,
+                                int threads, const std::string& where) {
+  RootFinderConfig exact_cfg;
+  exact_cfg.mu_bits = 24;
+  const RootReport exact = find_real_roots(p, exact_cfg);
+  RootFinderConfig cfg = exact_cfg;
+  cfg.modular = modular;
+  ParallelConfig pc;
+  pc.num_threads = threads;
+  instr::reset_modular();
+  const auto run = find_real_roots_parallel(p, cfg, pc);
+  EXPECT_FALSE(run.used_sequential_fallback) << where;
+  EXPECT_EQ(run.report.roots, exact.roots) << where;
+  EXPECT_EQ(run.report.multiplicities, exact.multiplicities) << where;
+  EXPECT_EQ(instr::modular_counts().fallbacks, 0u) << where;
+  std::size_t images = 0, blocks = 0;
+  for (const auto& t : run.trace.tasks) {
+    images += t.kind == TaskKind::kPrimeImage ? 1 : 0;
+    blocks += t.kind == TaskKind::kModBlock ? 1 : 0;
+  }
+  EXPECT_GT(images, 0u) << where << ": stage 1 did not go multimodular";
+  EXPECT_GT(blocks, 0u) << where << ": no combine went multimodular";
 }
 
 TEST(MultimodularPrs, DifferentialSweepAgainstExact) {
@@ -266,11 +295,28 @@ TEST(MultimodularPrs, DifferentialSweepAgainstExact) {
   for (const auto& [degree, span] : cases) {
     const Poly f0 = random_poly(degree, span, rng);
     const RemainderSequence exact = compute_remainder_sequence(f0);
+    auto fast =
+        modular::compute_remainder_sequence_multimodular(f0, forced_on());
+    ASSERT_TRUE(fast.has_value()) << "degree " << degree;
+    expect_sequences_equal(exact, *fast, "sweep");
+  }
+}
+
+// The sweep through the task graph, where the multimodular stage 1 runs as
+// image, CRT-level and wave tasks: real-rooted inputs (so the sequence
+// feeds the tree and its roots), degrees up to 64, threads {1, 4}.
+TEST(MultimodularPrs, GraphSweepMatchesExactAcrossThreads) {
+  Prng rng(0x5eed);
+  const std::pair<int, long long> cases[] = {
+      {8, 1000000LL}, {16, 1000LL}, {24, 40}, {33, 40}, {48, 20}, {64, 9},
+  };
+  for (const auto& [degree, span] : cases) {
+    const Poly p =
+        random_jacobi_poly(static_cast<std::size_t>(degree), span, rng);
     for (int threads : {1, 4}) {
-      auto fast = modular::compute_remainder_sequence_multimodular(
-          f0, forced_on(threads));
-      ASSERT_TRUE(fast.has_value()) << "degree " << degree;
-      expect_sequences_equal(exact, *fast, "sweep");
+      expect_graph_matches_exact(p, forced_on(), threads,
+                                 "degree " + std::to_string(degree) +
+                                     " threads " + std::to_string(threads));
     }
   }
 }
@@ -347,23 +393,42 @@ TEST(MultimodularPrs, PrimeDividingLeadingCoeffSkippedAtSelection) {
 
 TEST(MultimodularPrs, BatchAndWaveDeterminismMatrix) {
   Prng rng(0xba7c4);
-  // Every scheduling-knob combination -- batched vs per-image tasks, waved
-  // vs inline CRT, at 1/2/8 threads -- must reproduce the exact sequence
-  // bit for bit: partitioning is scheduling, never arithmetic.
+  // The one-call form drives the same slots and waves inline: batched vs
+  // per-image, waved vs inline CRT must reproduce the exact sequence bit
+  // for bit -- partitioning is scheduling, never arithmetic.
   const std::pair<int, long long> cases[] = {{30, 1000000LL}, {60, 40}};
   for (const auto& [degree, span] : cases) {
     const Poly f0 = random_poly(degree, span, rng);
     const RemainderSequence exact = compute_remainder_sequence(f0);
+    for (bool batch : {false, true}) {
+      ModularConfig cfg = forced_on();
+      cfg.batch_images = batch;
+      cfg.crt_wave_min_work = 1;  // every level fans out into waves
+      const auto fast =
+          modular::compute_remainder_sequence_multimodular(f0, cfg);
+      ASSERT_TRUE(fast.has_value()) << "degree " << degree;
+      expect_sequences_equal(exact, *fast, "batch/wave matrix");
+    }
+  }
+}
+
+// The same matrix as scheduled tasks: batched vs per-image image tasks and
+// every CRT level fanned out into wave tasks, at 1/2/8 threads.
+TEST(MultimodularPrs, GraphBatchAndWaveDeterminismMatrix) {
+  Prng rng(0xba7c4);
+  const std::pair<int, long long> cases[] = {{30, 1000LL}, {60, 9}};
+  for (const auto& [degree, span] : cases) {
+    const Poly p =
+        random_jacobi_poly(static_cast<std::size_t>(degree), span, rng);
     for (int threads : {1, 2, 8}) {
       for (bool batch : {false, true}) {
-        ModularConfig cfg = forced_on(threads);
+        ModularConfig cfg = forced_on();
         cfg.batch_images = batch;
-        cfg.crt_wave_min_work = 1;  // every level fans out into waves
-        const auto fast =
-            modular::compute_remainder_sequence_multimodular(f0, cfg);
-        ASSERT_TRUE(fast.has_value())
-            << "degree " << degree << " threads " << threads;
-        expect_sequences_equal(exact, *fast, "batch/wave matrix");
+        cfg.crt_wave_min_work = 1;
+        expect_graph_matches_exact(
+            p, cfg, threads,
+            "degree " + std::to_string(degree) + " threads " +
+                std::to_string(threads) + " batch " + (batch ? "on" : "off"));
       }
     }
   }
@@ -415,11 +480,19 @@ TEST(ModularCombineTest, MatchesExactCombine) {
   const auto m2 = modular::modular_t_combine(t13_15, t9_11, rs, 12, cfg);
   ASSERT_TRUE(m2.has_value());
   EXPECT_EQ(*m2, t9_15);
-  // Threaded one-shot form agrees too.
-  const auto m2t =
-      modular::modular_t_combine(t13_15, t9_11, rs, 12, forced_on(4));
-  ASSERT_TRUE(m2t.has_value());
-  EXPECT_EQ(*m2t, t9_15);
+}
+
+// Combines as graph tasks at 4 threads: prep, four strided image blocks and
+// four per-entry CRT tasks per node; then with a forced small prime first
+// in line, which both the combine screen and the
+// stage-1 replacement path must handle.
+TEST(ModularCombineTest, GraphCombinesMatchExactAtFourThreads) {
+  Prng rng(31);
+  const Poly p = random_jacobi_poly(32, 60, rng);
+  expect_graph_matches_exact(p, forced_on(), 4, "jacobi-32");
+  ModularConfig mixed = forced_on();
+  mixed.forced_primes = {kSmallPrime};
+  expect_graph_matches_exact(p, mixed, 4, "jacobi-32, forced small prime");
 }
 
 TEST(ModularCombineTest, FusedNttCombineMatchesExact) {
@@ -464,7 +537,7 @@ TEST(ModularCombineTest, FusedNttCombineMatchesExact) {
   // A forced low-2-adic prime caps its transform size below the plan, so
   // that slot falls back to elementwise mid-flight while the other slots
   // stay fused -- the mixed schedule still reconstructs exactly.
-  ModularConfig mixed = forced_on(4);
+  ModularConfig mixed = forced_on();
   mixed.forced_primes = {kSmallPrime};
   const auto m = modular::modular_t_combine(tr, tl, rs, 2, mixed);
   ASSERT_TRUE(m.has_value());
@@ -483,15 +556,25 @@ TEST(ModularCombineTest, SmallCombineDeclines) {
 }
 
 TEST(ModularCombineTest, SequentialTreeMatchesExactTree) {
+  // The postorder step functions with a ModularConfig: every node's T
+  // matrix and polynomial equal the exact ones, and combines did go
+  // multimodular.
   Prng rng(33);
   const auto input = paper_input(10, rng);
-  const RootFinderConfig base;
-  const auto exact = find_real_roots(input.poly, base);
-  RootFinderConfig mod = base;
-  mod.modular = forced_on();
-  const auto fast = find_real_roots(input.poly, mod);
-  EXPECT_EQ(exact.roots, fast.roots);
-  EXPECT_EQ(exact.multiplicities, fast.multiplicities);
+  const RemainderSequence rs = compute_remainder_sequence(input.poly);
+  const ModularConfig mod = forced_on();
+  Tree exact(input.poly.degree());
+  Tree fast(input.poly.degree());
+  instr::reset_modular();
+  for (int idx : exact.postorder()) {
+    compute_node_poly(exact, idx, rs);
+    compute_node_poly(fast, idx, rs, &mod);
+    EXPECT_EQ(fast.node(idx).poly, exact.node(idx).poly) << "node " << idx;
+    if (exact.node(idx).has_t) {
+      EXPECT_EQ(fast.node(idx).t, exact.node(idx).t) << "node " << idx;
+    }
+  }
+  EXPECT_GT(instr::modular_counts().combines, 0u);
 }
 
 // --- end-to-end bit-identity ------------------------------------------------

@@ -6,10 +6,13 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "gen/classic_polys.hpp"
 #include "gen/hard_polys.hpp"
 #include "gen/matrix_polys.hpp"
+#include "instr/counters.hpp"
+#include "poly/remainder_sequence.hpp"
 #include "service/root_service.hpp"
 #include "sim/des.hpp"
 #include "support/error.hpp"
@@ -28,8 +31,8 @@ class GrainModes : public ::testing::TestWithParam<RemainderGrain> {};
 
 TEST_P(GrainModes, MatchesSequentialBitForBit) {
   // Seed chosen so every generated charpoly is squarefree (small 0/1
-  // matrices frequently have repeated eigenvalues, which would divert the
-  // parallel driver to its sequential fallback).
+  // matrices frequently have repeated eigenvalues, which would make the
+  // driver restage on the squarefree part).
   Prng rng(99);
   for (int trial = 0; trial < 3; ++trial) {
     const auto input = paper_input(6 + 4 * trial, rng);
@@ -128,12 +131,21 @@ TEST(ParallelDriver, SimulatedSpeedupGrowsWithProcessors) {
   EXPECT_GE(sp[3], sp[2] * 0.99);
 }
 
-TEST(ParallelDriver, RepeatedRootsDelegateToSequential) {
+// The sequence of {2, 2, 5} vanishes early; the driver restages the graph
+// once on the squarefree part (x-2)(x-5), which answers with the roots, and
+// the factors supply the multiplicities.
+TEST(ParallelDriver, RepeatedRootsRestageSquarefreePart) {
   const Poly p = poly_from_integer_roots({2, 2, 5});
   const auto run =
       find_real_roots_parallel(p, base_config(12), ParallelConfig{});
-  EXPECT_TRUE(run.used_sequential_fallback);
-  ASSERT_EQ(run.report.roots.size(), 2u);
+  EXPECT_TRUE(run.report.squarefree_reduced);
+  EXPECT_FALSE(run.report.used_sturm_fallback);
+  EXPECT_FALSE(run.used_sequential_fallback);
+  EXPECT_GT(run.trace.size(), 0u);
+  EXPECT_EQ(run.report.degree, 3);
+  EXPECT_EQ(run.report.distinct_roots, 2);
+  EXPECT_EQ(run.report.roots,
+            (std::vector<BigInt>{BigInt(2) << 12, BigInt(5) << 12}));
   EXPECT_EQ(run.report.multiplicities, (std::vector<unsigned>{2, 1}));
 }
 
@@ -237,15 +249,15 @@ TEST(ParallelDriver, DeterministicAcrossPolicyThreadsAndChunks) {
   }
 }
 
-// Forces stage 1 and the combines of every node of length >= 2 onto the
-// multimodular path even at the small degrees these tests use.
+// Forces stage 1 and every internal combine that needs at least three
+// primes onto the multimodular path even at the small degrees these tests
+// use.
 RootFinderConfig forced_modular_config(std::size_t mu) {
   RootFinderConfig cfg = base_config(mu);
   cfg.modular.enabled = true;
   cfg.modular.min_degree = 2;
   cfg.modular.min_combine_bits = 1;
   cfg.modular.combine_cost_gate = false;
-  cfg.modular.tree_task_width = 1;
   return cfg;
 }
 
@@ -257,7 +269,7 @@ std::string describe(const char* name, bool modular, PoolPolicy policy,
          " threads=" + std::to_string(threads);
 }
 
-// RootReports are bit-identical to the sequential driver under every
+// RootReports are bit-identical to the one-thread exact run under every
 // {thread count} x {policy} x {modular off/on} combination.
 TEST(ParallelDriver, DeterministicAcrossThreadsPoliciesAndModular) {
   struct Workload {
@@ -331,14 +343,16 @@ TEST(ParallelDriver, WilkinsonAcrossThreadCounts) {
   }
 }
 
-// Repeated roots take the sequential fallback and give the sequential
-// answer under every configuration; a squarefree input next to it does not.
+// Repeated roots restage on the squarefree part and give the same answer
+// under every configuration; a squarefree input next to it is not reduced.
 TEST(ParallelDriver, RepeatedRootFallbackAcrossThreadsPoliciesAndModular) {
   Prng rng(9);
   const auto input = paper_input(10, rng);
   const Poly rep = poly_from_integer_roots({2, 2, 5});
   const auto ref = find_real_roots(rep, base_config(12));
-  ASSERT_EQ(ref.roots.size(), 2u);
+  ASSERT_EQ(ref.roots,
+            (std::vector<BigInt>{BigInt(2) << 12, BigInt(5) << 12}));
+  ASSERT_EQ(ref.multiplicities, (std::vector<unsigned>{2, 1}));
   for (bool modular : {false, true}) {
     const RootFinderConfig cfg =
         modular ? forced_modular_config(12) : base_config(12);
@@ -351,20 +365,21 @@ TEST(ParallelDriver, RepeatedRootFallbackAcrossThreadsPoliciesAndModular) {
         const std::string where = describe("repeated", modular, policy,
                                            threads);
         const auto fb = find_real_roots_parallel(rep, cfg, pc);
-        EXPECT_TRUE(fb.used_sequential_fallback) << where;
+        EXPECT_TRUE(fb.report.squarefree_reduced) << where;
+        EXPECT_FALSE(fb.report.used_sturm_fallback) << where;
         EXPECT_EQ(fb.report.roots, ref.roots) << where;
         EXPECT_EQ(fb.report.multiplicities, ref.multiplicities) << where;
         const auto run = find_real_roots_parallel(input.poly, cfg, pc);
+        EXPECT_FALSE(run.report.squarefree_reduced) << where;
         EXPECT_FALSE(run.used_sequential_fallback) << where;
       }
     }
   }
 }
 
-// Regression: on the exact stage-1 path only the last iteration checks
-// for non-real roots.  Interval tasks of low tree nodes used to run
-// before that check and fail with "unsorted interleave", which rejected
-// the request instead of routing it to the sequential Sturm fallback.
+// Regression: interval tasks of low tree nodes used to run before stage 1
+// had checked for non-real roots and fail with "unsorted interleave",
+// which rejected the request instead of routing it to the Sturm fallback.
 TEST(ParallelDriver, ComplexRootInputFallsBackInsteadOfFailing) {
   Prng rng(77);
   const Poly p = random_squarefree_poly(24, 16, rng);
@@ -397,6 +412,113 @@ TEST(ParallelDriver, ComplexRootInputFallsBackInsteadOfFailing) {
   EXPECT_EQ(results[0].report.roots, ref.roots);
   EXPECT_EQ(results[0].report.multiplicities, ref.multiplicities);
   EXPECT_EQ(results[1].report.roots, find_real_roots(other, cfg).roots);
+}
+
+// Exact stage 1 rejects non-real roots at the first iteration whose new
+// leading coefficient changes sign.  For a normal sequence that happens
+// exactly when the Sturm count of the whole sequence falls short of the
+// degree -- on every grain.
+TEST(ParallelDriver, StageOneRejectsNonRealRootsExactlyWhenSturmCountFallsShort) {
+  std::vector<Poly> inputs;
+  Prng rng(0x51a9);
+  for (int degree : {3, 4, 5, 6, 8, 12, 16, 24}) {
+    for (int k = 0; k < 4; ++k) {
+      inputs.push_back(random_squarefree_poly(degree, 16, rng));
+    }
+  }
+  Prng probe(77);
+  inputs.push_back(random_squarefree_poly(24, 16, probe));
+  Prng gen(99);
+  inputs.push_back(wilkinson(12));
+  inputs.push_back(chebyshev_t(15));
+  inputs.push_back(hermite(10));
+  inputs.push_back(paper_input(10, gen).poly);
+  inputs.push_back(random_jacobi_poly(20, 9, gen));
+  inputs.push_back(mignotte(7, 12));
+  inputs.push_back(Poly{1, 0, 0, 0, 1});  // x^4 + 1
+
+  RootFinderConfig cfg = base_config(32);
+  cfg.allow_sturm_fallback = false;
+  int rejected = 0;
+  int accepted = 0;
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    const Poly& p = inputs[k];
+    RemainderSequence rs;
+    try {
+      rs = compute_remainder_sequence(p.primitive_part());
+    } catch (const NonNormalSequence&) {
+      continue;  // not normal: the premature degree drop decides first
+    }
+    if (rs.extended()) continue;  // repeated roots restage instead
+    const bool non_real = real_root_count(rs) != p.degree();
+    (non_real ? rejected : accepted) += 1;
+    for (RemainderGrain grain :
+         {RemainderGrain::kPerIteration, RemainderGrain::kPerCoefficient,
+          RemainderGrain::kPerOperation}) {
+      ParallelConfig pc;
+      pc.grain = grain;
+      bool threw = false;
+      try {
+        (void)find_real_roots_parallel(p, cfg, pc);
+      } catch (const NonNormalSequence& e) {
+        EXPECT_STREQ(e.what(), "input has non-real roots") << "input " << k;
+        threw = true;
+      }
+      EXPECT_EQ(threw, non_real)
+          << "input " << k << " grain " << static_cast<int>(grain);
+    }
+  }
+  EXPECT_GT(rejected, 5);
+  EXPECT_GT(accepted, 3);
+}
+
+/// Total operation counts of one call, over every thread.
+template <typename F>
+instr::OpCounts ops_of(F&& f) {
+  instr::reset_all();
+  f();
+  return instr::aggregate().total();
+}
+
+// RootFinderConfig::validate performs the Sturm cross-check on
+// multi-thread runs too: through find_real_roots_parallel and through a
+// co-staged run_batch.  The cross-check is the only difference between
+// the two runs of each pair, so it shows as extra operations.
+TEST(ParallelDriver, ValidateCrossChecksAtFourThreads) {
+  Prng rng(12);
+  const Poly p = paper_input(12, rng).poly;
+  const Poly q = paper_input(10, rng).poly;
+  RootFinderConfig plain = base_config(40);
+  RootFinderConfig checked = plain;
+  checked.validate = true;
+  ParallelConfig pc;
+  pc.num_threads = 4;
+
+  RootReport a, b;
+  const auto plain_ops =
+      ops_of([&] { a = find_real_roots_parallel(p, plain, pc).report; });
+  const auto checked_ops =
+      ops_of([&] { b = find_real_roots_parallel(p, checked, pc).report; });
+  EXPECT_EQ(a.roots, b.roots);
+  EXPECT_GT(checked_ops.mul_count, plain_ops.mul_count);
+
+  const auto batch = [&](const RootFinderConfig& cfg) {
+    service::ServiceConfig scfg;
+    scfg.finder = cfg;
+    scfg.parallel = pc;
+    scfg.cache_enabled = false;
+    service::RootService service(scfg);
+    std::vector<service::ServiceResult> results;
+    const auto ops = ops_of(
+        [&] { results = service.run_batch({p.to_string(), q.to_string()}); });
+    EXPECT_EQ(service.stats().batch_runs, 1u) << "not co-staged";
+    for (const auto& r : results) EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(results[0].report.roots, a.roots);
+    return ops;
+  };
+  const auto batch_plain = batch(plain);
+  const auto batch_checked = batch(checked);
+  EXPECT_GT(batch_checked.mul_count, batch_plain.mul_count);
 }
 
 TEST(ParallelDriver, GrainChunkShrinksTraceKeepsRoots) {
