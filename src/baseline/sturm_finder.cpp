@@ -20,41 +20,30 @@ struct Finder {
   IntervalStats* stats;
   std::vector<BigInt> out;
 
-  /// Converts the exact root hi/2^s to its mu-approximation.
-  BigInt exact_root(const BigInt& hi, std::size_t s) const {
-    return s <= mu ? (hi << (mu - s)) : ceil_shift(hi, s - mu);
-  }
-
-  /// Root isolated in (lo/2^s, hi/2^s]; emit its mu-approximation.
-  void refine_single(const BigInt& lo, const BigInt& hi, std::size_t s) {
+  /// The one root in (lo/2^s, hi/2^s] as a cell: exact when it sits on
+  /// hi, otherwise open with one-sided endpoint signs (a root exactly on
+  /// the excluded left endpoint leaves the right-limit sign nonzero).
+  isolate::IsolatingCell cell_of(const BigInt& lo, const BigInt& hi,
+                                 std::size_t s) const {
+    isolate::IsolatingCell cell;
+    cell.scale = s;
+    cell.hi = hi;
     if (p.sign_at_scaled(hi, s) == 0) {
-      out.push_back(exact_root(hi, s));
-      return;
+      cell.lo = hi;
+      cell.exact = true;
+      return cell;
     }
-    // The root is strictly interior now; one-sided sign at lo covers the
-    // case of a root sitting exactly on the (excluded) left endpoint.
-    const int s_lo = sign_right_limit(p, lo, s);
-    const int s_hi = p.sign_at_scaled(hi, s);
-    check_internal(s_lo * s_hi == -1, "sturm_find_roots: lost sign change");
-    if (s <= mu) {
-      const BigInt k = solve_isolated_interval(
-          p, lo << (mu - s), hi << (mu - s), s_lo, s_hi, mu, config, stats);
-      out.push_back(k);
-    } else {
-      // Isolation had to go below the output grid (clustered roots):
-      // resolve at scale s, then coarsen; the unit cell maps to a unique
-      // mu-cell because mu-grid points are s-grid points.
-      const BigInt k = solve_isolated_interval(p, lo, hi, s_lo, s_hi, s,
-                                               config, stats);
-      out.push_back(ceil_shift(k, s - mu));
-    }
+    cell.lo = lo;
+    cell.s_lo = sign_right_limit(p, lo, s);
+    cell.s_hi = sign_left_limit(p, hi, s);
+    return cell;
   }
 
   void isolate(const BigInt& lo, const BigInt& hi, std::size_t s) {
     const int cnt = chain.count_half_open(lo, hi, s);
     if (cnt == 0) return;
     if (cnt == 1) {
-      refine_single(lo, hi, s);
+      out.push_back(solve_cell(p, cell_of(lo, hi, s), mu, config, stats));
       return;
     }
     const BigInt mid = lo + hi;  // at scale s+1
@@ -64,6 +53,29 @@ struct Finder {
 };
 
 }  // namespace
+
+BigInt solve_cell(const Poly& p, const isolate::IsolatingCell& cell,
+                  std::size_t mu, const IntervalSolverConfig& config,
+                  IntervalStats* stats) {
+  const std::size_t s = cell.scale;
+  if (cell.exact) {
+    return s <= mu ? cell.lo << (mu - s) : ceil_shift(cell.lo, s - mu);
+  }
+  check_arg(cell.s_lo * cell.s_hi == -1,
+            "solve_cell: isolated cell without a sign change (input not "
+            "squarefree)");
+  if (s <= mu) {
+    return solve_isolated_interval(p, cell.lo << (mu - s),
+                                   cell.hi << (mu - s), cell.s_lo, cell.s_hi,
+                                   mu, config, stats);
+  }
+  // Isolation had to go below the output grid (clustered roots): resolve
+  // at scale s, then coarsen; the unit cell maps to a unique mu-cell
+  // because mu-grid points are s-grid points.
+  return ceil_shift(solve_isolated_interval(p, cell.lo, cell.hi, cell.s_lo,
+                                            cell.s_hi, s, config, stats),
+                    s - mu);
+}
 
 std::vector<BigInt> sturm_find_roots(const Poly& p, std::size_t mu,
                                      const IntervalSolverConfig& config,

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/interval_solver.hpp"
+#include "isolate/descartes_isolate.hpp"
 #include "poly/poly.hpp"
 
 namespace pr {
@@ -22,5 +23,14 @@ namespace pr {
 std::vector<BigInt> sturm_find_roots(const Poly& p, std::size_t mu,
                                      const IntervalSolverConfig& config,
                                      IntervalStats* stats);
+
+/// The refinement tail both baselines share: ceil(2^mu x) for the root x
+/// of p in `cell`.  An exact cell costs no evaluation; an isolated cell
+/// runs the hybrid interval solver at scale max(mu, cell.scale).  Throws
+/// InvalidArgument when an isolated cell shows no sign change (p is not
+/// squarefree).
+BigInt solve_cell(const Poly& p, const isolate::IsolatingCell& cell,
+                  std::size_t mu, const IntervalSolverConfig& config,
+                  IntervalStats* stats);
 
 }  // namespace pr

@@ -17,8 +17,8 @@
 #include "poly/bounds.hpp"
 #include "poly/remainder_sequence.hpp"
 #include "poly/squarefree.hpp"
-#include "poly/sturm.hpp"
 #include "support/error.hpp"
+#include "verify/certificate.hpp"
 
 namespace pr {
 
@@ -31,30 +31,6 @@ class RepeatedRoots : public NonNormalSequence {
  public:
   using NonNormalSequence::NonNormalSequence;
 };
-
-/// RootFinderConfig::validate: cross-checks every returned cell against a
-/// Sturm count of the squarefree polynomial the roots were computed for.
-void validate_roots(const Poly& squarefree, const std::vector<BigInt>& roots,
-                    std::size_t mu) {
-  SturmChain chain(squarefree);
-  const int total = chain.distinct_real_roots();
-  check_internal(total == squarefree.degree(),
-                 "validate: input has non-real roots");
-  check_internal(static_cast<int>(roots.size()) == total,
-                 "validate: wrong number of roots returned");
-  // Consecutive equal values share a cell; the cell must contain exactly
-  // that many roots.
-  std::size_t i = 0;
-  while (i < roots.size()) {
-    std::size_t jend = i + 1;
-    while (jend < roots.size() && roots[jend] == roots[i]) ++jend;
-    const BigInt lo = roots[i] - BigInt(1);
-    const int cnt = chain.count_half_open(lo, roots[i], mu);
-    check_internal(cnt == static_cast<int>(jend - i),
-                   "validate: cell does not contain its claimed roots");
-    i = jend;
-  }
-}
 
 /// All shared mutable state of one parallel run.  Every field is written
 /// by exactly one task and read only by tasks ordered after it, so no
@@ -296,17 +272,10 @@ class GraphBuilder {
       return;
     }
 
-    const TaskId seed = g_.add(TaskKind::kSeed, 0, [&st] {
-      instr::PhaseScope phase(instr::Phase::kRemainder);
-      st.rs.F[0] = st.work;
-      st.rs.F[1] = st.work.derivative();
-      st.rs.c[0] = BigInt(st.work.leading().signum());
-      st.rs.c[1] = st.rs.F[1].leading();
-    });
-    mark_[1] = seed;
-
-    if (pc_.sequential_remainder) {
-      // One task for the whole stage (the paper's run-time option).
+    if (pc_.grain == RemainderGrain::kSequential) {
+      // One task for the whole stage (the paper's run-time option).  It
+      // replaces all of st.rs, so every reader of the sequence -- F_0 and
+      // F_1 included -- waits for it; there is no seed task.
       const TaskId all = g_.add(TaskKind::kCoeff, -1, [&st] {
         RemainderSequence full = compute_remainder_sequence(st.work);
         if (full.extended()) {
@@ -317,11 +286,20 @@ class GraphBuilder {
         }
         st.rs = std::move(full);
       });
-      g_.add_edge(seed, all);
-      for (int k = 2; k <= n; ++k) mark_[static_cast<std::size_t>(k)] = all;
+      for (int k = 1; k <= n; ++k) mark_[static_cast<std::size_t>(k)] = all;
       for (int i = 1; i <= n - 1; ++i) q_ready_[static_cast<std::size_t>(i)] = all;
       return;
     }
+
+    const TaskId seed = g_.add(TaskKind::kSeed, 0, [&st] {
+      instr::PhaseScope phase(instr::Phase::kRemainder);
+      st.rs.F[0] = st.work;
+      st.rs.F[1] = st.work.derivative();
+      st.rs.c[0] = BigInt(st.work.leading().signum());
+      st.rs.c[1] = st.rs.F[1].leading();
+    });
+    mark_[1] = seed;
+
 
     for (int i = 1; i <= n - 1; ++i) {
       const auto ui = static_cast<std::size_t>(i);
@@ -566,8 +544,7 @@ class GraphBuilder {
     if (nd.length() == 1) {
       const TaskId t = g_.add(TaskKind::kLinRoot, idx, [&st, idx] {
         TreeNode& node = st.tree.node(idx);
-        node.roots = {BigInt::cdiv(-(node.poly.coeff(0) << st.mu),
-                                   node.poly.coeff(1))};
+        node.roots = {linear_root_mu_approx(node.poly, st.mu)};
       });
       g_.add_edge(poly_ready, t);
       roots_ready_[static_cast<std::size_t>(idx)] = t;
@@ -676,8 +653,8 @@ std::unique_ptr<StagedParallelRun> stage_parallel_run(
   state.bound_scaled = BigInt::pow2(impl.bound + config.mu_bits);
 
   // Stage 1 goes multimodular only when both enabled and big enough; the
-  // explicit sequential_remainder request keeps its one-task exact shape.
-  if (state.modular.enabled && !parallel.sequential_remainder) {
+  // kSequential grain keeps its one-task exact shape.
+  if (state.modular.enabled && parallel.grain != RemainderGrain::kSequential) {
     auto prs = std::make_unique<modular::MultimodularPrs>(work, state.modular);
     if (prs->worthwhile()) state.mprs = std::move(prs);
   }
@@ -702,7 +679,9 @@ RootReport finish_staged_run(StagedParallelRun& run) {
   for (const auto& sc : state.scratch) {
     for (const auto& s : sc.stats) report.stats += s;
   }
-  if (impl.validate) validate_roots(state.work, report.roots, impl.mu);
+  if (impl.validate) {
+    require_certified_cells(state.work, report.roots, impl.mu);
+  }
   return report;
 }
 
@@ -789,10 +768,11 @@ ParallelRunResult find_real_roots_parallel(const Poly& p,
       report.roots = sturm_find_roots(work, config.mu_bits, config.solver,
                                       &report.stats);
     } else {
-      report.roots = {BigInt::cdiv(-(work.coeff(0) << config.mu_bits),
-                                   work.coeff(1))};
+      report.roots = {linear_root_mu_approx(work, config.mu_bits)};
     }
-    if (config.validate) validate_roots(work, report.roots, config.mu_bits);
+    if (config.validate) {
+      require_certified_cells(work, report.roots, config.mu_bits);
+    }
   }
   report.degree = p.degree();
   report.squarefree_reduced = reduced;

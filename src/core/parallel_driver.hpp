@@ -36,6 +36,11 @@ enum class RemainderGrain {
   kPerCoefficient,  ///< one task per coefficient of F_{i+1} (default)
   kPerOperation,    ///< one task per multiplication of Eq. 18 (the paper's
                     ///< finest grain: "each of these 5(n-i) operations")
+  kSequential,      ///< the whole stage as one exact task (the paper's
+                    ///< run-time option, Section 3: "the implementation
+                    ///< allows this stage to be executed sequentially, if
+                    ///< so desired"); also keeps stage 1 off the modular
+                    ///< path
 };
 
 struct ParallelConfig {
@@ -51,10 +56,6 @@ struct ParallelConfig {
   int grain_chunk = 1;
   /// Queueing policy: the paper's central queue or per-worker stealing.
   PoolPolicy pool_policy = PoolPolicy::kCentralQueue;
-  /// Run stage 1 as a single sequential task (the paper's run-time option,
-  /// Section 3: "the implementation allows this stage to be executed
-  /// sequentially, if so desired").
-  bool sequential_remainder = false;
 };
 
 struct ParallelRunResult {
@@ -115,7 +116,8 @@ std::unique_ptr<StagedParallelRun> stage_parallel_run(
     const ParallelConfig& parallel, TaskGraph& graph, int = 0, bool = false);
 
 /// Extracts the RootReport after the shared graph ran to completion, and
-/// runs the Sturm cross-check when RootFinderConfig::validate was set.
+/// certifies its cells (certify_cells) when RootFinderConfig::validate
+/// was set.
 RootReport finish_staged_run(StagedParallelRun& run);
 
 }  // namespace pr

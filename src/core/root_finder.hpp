@@ -36,8 +36,10 @@ struct RootFinderConfig {
   /// If the remainder sequence is not normal, silently use the Sturm
   /// baseline instead of throwing NonNormalSequence.
   bool allow_sturm_fallback = true;
-  /// Cross-checks every returned cell against a Sturm count (expensive;
-  /// for tests and debugging).
+  /// Certifies the returned cells with certify_cells (Sturm totality
+  /// over the distinct real roots plus a per-cell witness) and throws
+  /// InternalError listing the failures (expensive; for tests and
+  /// debugging).
   bool validate = false;
   /// Multimodular fast paths (remainder sequence + tree combines); off by
   /// default, bit-identical results when enabled.

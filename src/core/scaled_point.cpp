@@ -41,6 +41,11 @@ BigInt mu_approx_of_scaled(const BigInt& a, std::size_t w, std::size_t mu) {
   return ceil_shift(a, w - mu);
 }
 
+BigInt linear_root_mu_approx(const Poly& p, std::size_t mu) {
+  check_arg(p.degree() == 1, "linear_root_mu_approx: degree != 1");
+  return BigInt::cdiv(-(p.coeff(0) << mu), p.coeff(1));
+}
+
 std::string scaled_to_string(const BigInt& a, std::size_t w, int digits) {
   // a / 2^w = a * 10^digits / 2^w scaled down by 10^digits.
   BigInt scaled = a * pow(BigInt(10), static_cast<unsigned>(digits));

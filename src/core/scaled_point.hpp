@@ -11,6 +11,7 @@
 #include <cstddef>
 
 #include "bigint/bigint.hpp"
+#include "poly/poly.hpp"
 
 namespace pr {
 
@@ -27,6 +28,10 @@ BigInt upscale(const BigInt& a, std::size_t from, std::size_t to);
 /// The mu-approximation (ceiling convention) of the exact rational a/2^w,
 /// returned as a scaled integer at scale mu (mu <= w).
 BigInt mu_approx_of_scaled(const BigInt& a, std::size_t w, std::size_t mu);
+
+/// The mu-approximation ceil(2^mu * (-c0/c1)) of the root of the linear
+/// polynomial p = c1*x + c0.
+BigInt linear_root_mu_approx(const Poly& p, std::size_t mu);
 
 /// Renders a/2^w as a decimal string with `digits` fractional digits.
 std::string scaled_to_string(const BigInt& a, std::size_t w, int digits = 6);

@@ -23,13 +23,6 @@ PolyMat22 t_empty(const RemainderSequence& rs, int i) {
   return t;
 }
 
-/// mu-approximation of the root of a linear polynomial c1*x + c0:
-/// ceil(2^mu * (-c0 / c1)).
-BigInt linear_root_approx(const Poly& p, std::size_t mu) {
-  check_internal(p.degree() == 1, "linear_root_approx: degree != 1");
-  return BigInt::cdiv(-(p.coeff(0) << mu), p.coeff(1));
-}
-
 }  // namespace
 
 void compute_node_poly(Tree& tree, int idx, const RemainderSequence& rs,
@@ -108,7 +101,7 @@ void compute_node_roots(Tree& tree, int idx, std::size_t mu,
     // Leaves (and a degree-1 input) have linear polynomials: the root is a
     // single exact ceiling division (Section 2: "the leaves ... are easy
     // to estimate").
-    nd.roots = {linear_root_approx(nd.poly, mu)};
+    nd.roots = {linear_root_mu_approx(nd.poly, mu)};
     return;
   }
   check_internal(nd.poly.degree() == nd.length(),

@@ -3,11 +3,28 @@
 #include <algorithm>
 #include <utility>
 
-#include "baseline/descartes_finder.hpp"
 #include "poly/sturm.hpp"
 #include "support/error.hpp"
 
 namespace pr::isolate {
+
+int descartes_sign_variations(const Poly& p) {
+  int count = 0;
+  int prev = 0;
+  for (int i = 0; i <= p.degree(); ++i) {
+    const int s = p.coeff(static_cast<std::size_t>(i)).signum();
+    if (s == 0) continue;
+    if (prev != 0 && s != prev) ++count;
+    prev = s;
+  }
+  return count;
+}
+
+int descartes_bound_01(const Poly& q) {
+  check_arg(!q.is_zero(), "descartes_bound_01: zero polynomial");
+  // (1+x)^n q(1/(1+x)) == reversed(q) shifted by 1.
+  return descartes_sign_variations(q.reversed().taylor_shift(BigInt(1)));
+}
 
 namespace {
 

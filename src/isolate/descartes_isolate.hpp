@@ -7,9 +7,11 @@
 // each band -- everything between bands is skipped without a single sign
 // evaluation, which is the whole point of the preconditioning.
 //
-// Output cells use the same open-interval-with-one-sided-endpoint-signs
-// structure as the baseline Descartes finder, so the refinement layer
-// (interval solver or QIR) consumes them unchanged.
+// The baseline Descartes finder (baseline/descartes_finder) is the
+// single-band case: one band [-2^R, 2^R] at scale 0 around every real
+// root.  Output cells are open intervals with one-sided endpoint signs
+// (or exact dyadic roots), so either refiner -- the hybrid interval
+// solver or QIR -- consumes them unchanged.
 #pragma once
 
 #include <cstddef>
@@ -20,6 +22,16 @@
 #include "poly/poly.hpp"
 
 namespace pr::isolate {
+
+/// Number of sign variations in the coefficient sequence (Descartes' rule
+/// of signs: the number of positive roots is at most this, and equal to
+/// it modulo 2).
+int descartes_sign_variations(const Poly& p);
+
+/// Upper bound, via Descartes' rule on the Moebius transform, for the
+/// number of roots of q in the open interval (0, 1).  Exact when it
+/// returns 0 or 1 (for squarefree q).
+int descartes_bound_01(const Poly& q);
 
 /// One isolating cell for a real root of the (squarefree) working
 /// polynomial.  Either an exact dyadic root (lo == hi == 2^scale * root) or

@@ -6,9 +6,9 @@
 #include "core/scaled_point.hpp"
 #include "poly/bounds.hpp"
 #include "poly/squarefree.hpp"
-#include "poly/sturm.hpp"
 #include "sched/task_pool.hpp"
 #include "support/error.hpp"
+#include "verify/certificate.hpp"
 
 namespace pr {
 
@@ -25,35 +25,6 @@ const char* finder_strategy_name(FinderStrategy s) {
 }  // namespace pr
 
 namespace pr::isolate {
-
-namespace {
-
-/// Sturm cross-check of the radii path's cells (config.validate), the
-/// analogue of the paper path's validate_roots without the all-real-roots
-/// requirement: the report must hold every distinct real root, and each
-/// group of equal values must sit in a cell with exactly that many roots.
-void validate_radii_roots(const Poly& work, const std::vector<BigInt>& roots,
-                          std::size_t mu) {
-  SturmChain chain(work);
-  check_internal(static_cast<int>(roots.size()) == chain.distinct_real_roots(),
-                 "validate: wrong number of roots returned");
-  std::size_t i = 0;
-  while (i < roots.size()) {
-    std::size_t jend = i + 1;
-    while (jend < roots.size() && roots[jend] == roots[i]) ++jend;
-    const BigInt lo = roots[i] - BigInt(1);
-    const int cnt = chain.count_half_open(lo, roots[i], mu);
-    check_internal(cnt == static_cast<int>(jend - i),
-                   "validate: cell does not contain its claimed roots");
-    i = jend;
-  }
-}
-
-BigInt linear_root(const Poly& work, std::size_t mu) {
-  return BigInt::cdiv(-(work.coeff(0) << mu), work.coeff(1));
-}
-
-}  // namespace
 
 IsolationRun prepare_isolation(const Poly& p, const RootFinderConfig& config) {
   check_arg(p.degree() >= 1, "RealRootFinder: degree must be >= 1");
@@ -140,7 +111,7 @@ RootReport assemble_report(const IsolationRun& run,
   report.stats.newton_evals = qir.evals;
   report.stats.fallback_bisects = qir.bisect_steps;
   if (config.validate) {
-    validate_radii_roots(run.work, report.roots, config.mu_bits);
+    require_certified_cells(run.work, report.roots, config.mu_bits);
   }
   return report;
 }
@@ -154,7 +125,7 @@ ParallelRunResult find_real_roots_radii_parallel(
 
   if (run.work.degree() == 1) {
     out.report = assemble_report(
-        run, config, {linear_root(run.work, config.mu_bits)}, {});
+        run, config, {linear_root_mu_approx(run.work, config.mu_bits)}, {});
     out.used_sequential_fallback = true;
     return out;
   }

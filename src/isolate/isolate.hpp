@@ -53,7 +53,8 @@ void stage_cell_refinement(const IsolationRun& run,
                            std::vector<QirStats>& stats);
 
 /// Assembles the final RootReport from refined roots (multiplicities,
-/// stats mapping, optional Sturm validation).
+/// stats mapping, and the certify_cells check when
+/// RootFinderConfig::validate is set).
 RootReport assemble_report(const IsolationRun& run,
                            const RootFinderConfig& config,
                            std::vector<BigInt> roots, const QirStats& qir);

@@ -57,11 +57,6 @@ struct ModularConfig {
   /// count.
   std::size_t crt_wave_min_work = 4096;
 
-  /// After reconstruction, re-verify every image at one held-out prime
-  /// (cost ~1/k of the total); a mismatch falls back to the exact path
-  /// instead of surfacing a wrong result.
-  bool paranoid_check = true;
-
   /// Test seam: moduli to try *before* the deterministic table (each must
   /// be an odd prime below 2^62).  Lets tests force a known-bad first
   /// prime to exercise the replacement path.

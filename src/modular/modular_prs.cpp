@@ -364,25 +364,23 @@ std::optional<RemainderSequence> MultimodularPrs::finalize() {
     rs.Q[ui] = std::move(qs_[ui]);
   }
 
-  if (cfg_.paranoid_check) {
-    // Certify the reconstruction against one held-out prime: recompute
-    // the image sequence at a fresh modulus and compare it with the
-    // reduction of the reconstructed coefficients (~1/k of total cost).
-    Slot holdout;
-    ImageStatus st = ImageStatus::kBadPrime;
-    for (int attempt = 0; attempt < 3 && st != ImageStatus::kOk; ++attempt) {
-      holdout.prime = take_prime();
-      st = compute_image(holdout);
-    }
-    if (st == ImageStatus::kOk) {
-      for (int i = 2; i <= n_; ++i) {
-        const auto ui = static_cast<std::size_t>(i);
-        const auto& row = holdout.rows[ui - 2];
-        for (std::size_t j = 0; j < row.size(); ++j) {
-          if (rs.F[ui].coeff(j).mod_u64(holdout.prime) != row[j]) {
-            latch_fallback();
-            return std::nullopt;
-          }
+  // Certify the reconstruction against one held-out prime: recompute
+  // the image sequence at a fresh modulus and compare it with the
+  // reduction of the reconstructed coefficients (~1/k of total cost).
+  Slot holdout;
+  ImageStatus st = ImageStatus::kBadPrime;
+  for (int attempt = 0; attempt < 3 && st != ImageStatus::kOk; ++attempt) {
+    holdout.prime = take_prime();
+    st = compute_image(holdout);
+  }
+  if (st == ImageStatus::kOk) {
+    for (int i = 2; i <= n_; ++i) {
+      const auto ui = static_cast<std::size_t>(i);
+      const auto& row = holdout.rows[ui - 2];
+      for (std::size_t j = 0; j < row.size(); ++j) {
+        if (rs.F[ui].coeff(j).mod_u64(holdout.prime) != row[j]) {
+          latch_fallback();
+          return std::nullopt;
         }
       }
     }

@@ -29,7 +29,7 @@
 // sequence) -- we hand the input back to the exact path, which owns the
 // extension logic, rather than guessing.  The same happens when
 // replacements exceed a small cap (a non-normal input makes *every* prime
-// look bad) or when the optional held-out-prime check fails.
+// look bad) or when the held-out-prime check fails.
 //
 // The slot API (run_image / prepare_crt / run_crt) exists so the driver
 // can schedule each slot and wave as a task; the one-call wrapper drives

@@ -36,6 +36,7 @@
 #include "gen/classic_polys.hpp"              // IWYU pragma: export
 #include "gen/hard_polys.hpp"                 // IWYU pragma: export
 #include "gen/matrix_polys.hpp"               // IWYU pragma: export
+#include "isolate/descartes_isolate.hpp"      // IWYU pragma: export
 #include "isolate/isolate.hpp"                // IWYU pragma: export
 #include "isolate/root_radii.hpp"             // IWYU pragma: export
 #include "instr/counters.hpp"                 // IWYU pragma: export

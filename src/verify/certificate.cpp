@@ -159,6 +159,17 @@ RootCertificate certify_cells(const Poly& squarefree,
   return certify_impl(squarefree, roots, mu, nullptr, -1);
 }
 
+void require_certified_cells(const Poly& squarefree,
+                             const std::vector<BigInt>& roots,
+                             std::size_t mu) {
+  const RootCertificate cert = certify_cells(squarefree, roots, mu);
+  if (cert.valid) return;
+  std::string why = "validate:";
+  for (const auto& f : cert.failures) why += " " + f + ";";
+  why.pop_back();
+  throw InternalError(why);
+}
+
 bool verify_remainder_sequence_mod(const RemainderSequence& rs,
                                    std::uint64_t prime, std::string* why) {
   using modular::PolyZp;

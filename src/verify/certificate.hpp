@@ -61,6 +61,14 @@ RootCertificate certify_cells(const Poly& squarefree,
                               const std::vector<BigInt>& roots,
                               std::size_t mu);
 
+/// RootFinderConfig::validate: certify_cells, throwing InternalError with
+/// the certificate's failures when the cells do not certify.  No
+/// all-real-roots requirement: totality is against the Sturm count of the
+/// distinct real roots.
+void require_certified_cells(const Poly& squarefree,
+                             const std::vector<BigInt>& roots,
+                             std::size_t mu);
+
 /// Independent spot-check of a *normal* remainder sequence at one prime:
 /// recomputes the image sequence over Z/p by *field division* (true
 /// remainders, F_{i+1} = -(c_i^2/c_{i-1}^2) * (F_{i-1} mod F_i)) -- not

@@ -82,6 +82,17 @@ TEST(SturmFinder, RejectsConstants) {
   EXPECT_THROW(sturm_find_roots(Poly{3}, 8, cfg, nullptr), InvalidArgument);
 }
 
+TEST(SturmFinder, RepeatedRootIsInvalidArgument) {
+  // (x^2 - 2)^2 (x + 3): the Sturm count isolates the double roots +-sqrt(2)
+  // in cells without a sign change, which the shared refinement tail
+  // reports as a non-squarefree input.
+  const Poly p = Poly{-2, 0, 1} * Poly{-2, 0, 1} * Poly{3, 1};
+  IntervalSolverConfig cfg;
+  EXPECT_THROW(sturm_find_roots(p, 20, cfg, nullptr), InvalidArgument);
+  EXPECT_EQ(sturm_find_roots(squarefree_part(p), 20, cfg, nullptr).size(),
+            3u);
+}
+
 TEST(Ablations, ModesAgreeAndRankByCost) {
   Prng rng(5150);
   const auto input = paper_input(12, rng);

@@ -6,12 +6,16 @@
 #include "core/root_finder.hpp"
 #include "gen/classic_polys.hpp"
 #include "gen/matrix_polys.hpp"
+#include "isolate/descartes_isolate.hpp"
 #include "poly/squarefree.hpp"
 #include "support/error.hpp"
 #include "support/prng.hpp"
 
 namespace pr {
 namespace {
+
+using isolate::descartes_bound_01;
+using isolate::descartes_sign_variations;
 
 TEST(Descartes, SignVariations) {
   EXPECT_EQ(descartes_sign_variations(Poly{1, 1, 1}), 0);
@@ -114,6 +118,21 @@ TEST(Descartes, RejectsConstants) {
   IntervalSolverConfig cfg;
   EXPECT_THROW(descartes_find_roots(Poly{3}, 8, cfg, nullptr),
                InvalidArgument);
+}
+
+TEST(Descartes, RepeatedRootHitsTheDepthBound) {
+  // (x^2 - 2)^2 (x + 3): the Descartes bound never drops below 2 around
+  // +-sqrt(2), so only the band isolator's depth bound stops the
+  // subdivision -- with a clean InvalidArgument, as isolate_in_band
+  // raises on the same input.
+  const Poly p = Poly{-2, 0, 1} * Poly{-2, 0, 1} * Poly{3, 1};
+  IntervalSolverConfig cfg;
+  EXPECT_THROW(descartes_find_roots(p, 20, cfg, nullptr), InvalidArgument);
+  EXPECT_THROW(isolate::isolate_in_band(p, BigInt(-8), BigInt(8), 0),
+               InvalidArgument);
+  // The squarefree part is fine.
+  EXPECT_EQ(descartes_find_roots(squarefree_part(p), 20, cfg, nullptr).size(),
+            3u);
 }
 
 }  // namespace

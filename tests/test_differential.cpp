@@ -1,15 +1,19 @@
-// Differential testing: three independent root finders (interleaving
-// tree, Sturm isolation, Descartes isolation) must produce bit-identical
-// mu-approximations across workload families, precisions, and solver
-// modes.  A disagreement localizes a bug to one pipeline; agreement of
-// three algorithmically unrelated methods is strong evidence of
-// correctness.
+// Differential testing: every root finder -- the interleaving tree (on
+// one thread and as the task graph on four), the root-radii pipeline
+// (kRadii), Sturm isolation and Descartes isolation -- must produce
+// bit-identical mu-approximations across workload families, precisions,
+// and solver modes.  A disagreement localizes a bug to one pipeline;
+// agreement of algorithmically unrelated methods is strong evidence of
+// correctness.  (The test keeps its original name,
+// `ThreeFindersAgreeAndCertify`, from when it compared three finders.)
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "baseline/descartes_finder.hpp"
 #include "baseline/sturm_finder.hpp"
+#include "core/parallel_driver.hpp"
 #include "core/root_finder.hpp"
 #include "gen/classic_polys.hpp"
 #include "gen/matrix_polys.hpp"
@@ -69,12 +73,24 @@ TEST_P(Differential, ThreeFindersAgreeAndCertify) {
   tree_cfg.mu_bits = mu;
   const auto tree = find_real_roots(p, tree_cfg);
 
+  ParallelConfig four;
+  four.num_threads = 4;
+  const auto graph = find_real_roots_parallel(p, tree_cfg, four);
+
+  RootFinderConfig radii_cfg = tree_cfg;
+  radii_cfg.strategy = FinderStrategy::kRadii;
+  const auto radii = find_real_roots(p, radii_cfg);
+
   IntervalSolverConfig scfg;
   const auto sturm = sturm_find_roots(p, mu, scfg, nullptr);
   const auto desc = descartes_find_roots(p, mu, scfg, nullptr);
 
-  EXPECT_EQ(tree.roots, sturm) << family_name(family) << " mu=" << mu;
-  EXPECT_EQ(tree.roots, desc) << family_name(family) << " mu=" << mu;
+  const std::string where =
+      std::string(family_name(family)) + " mu=" + std::to_string(mu);
+  EXPECT_EQ(tree.roots, graph.report.roots) << where << " (graph, 4 threads)";
+  EXPECT_EQ(tree.roots, radii.roots) << where << " (radii)";
+  EXPECT_EQ(tree.roots, sturm) << where << " (sturm)";
+  EXPECT_EQ(tree.roots, desc) << where << " (descartes)";
 
   const auto cert = certify_cells(p, tree.roots, mu);
   EXPECT_TRUE(cert.valid) << cert.to_string();

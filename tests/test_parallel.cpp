@@ -54,12 +54,14 @@ INSTANTIATE_TEST_SUITE_P(
     AllGrains, GrainModes,
     ::testing::Values(RemainderGrain::kPerIteration,
                       RemainderGrain::kPerCoefficient,
-                      RemainderGrain::kPerOperation),
+                      RemainderGrain::kPerOperation,
+                      RemainderGrain::kSequential),
     [](const auto& param_info) {
       switch (param_info.param) {
         case RemainderGrain::kPerIteration: return "PerIteration";
         case RemainderGrain::kPerCoefficient: return "PerCoefficient";
-        default: return "PerOperation";
+        case RemainderGrain::kPerOperation: return "PerOperation";
+        default: return "Sequential";
       }
     });
 
@@ -68,7 +70,7 @@ TEST(ParallelDriver, SequentialRemainderOption) {
   const auto input = paper_input(10, rng);
   const RootFinderConfig cfg = base_config(24);
   ParallelConfig pc;
-  pc.sequential_remainder = true;
+  pc.grain = RemainderGrain::kSequential;
   pc.num_threads = 2;
   const auto par = find_real_roots_parallel(input.poly, cfg, pc);
   const auto seq = find_real_roots(input.poly, cfg);

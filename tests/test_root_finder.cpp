@@ -46,6 +46,19 @@ TEST(RootFinder, DegreeOneAndTwo) {
   EXPECT_NEAR(quad.root_as_double(1), std::sqrt(2.0), 1e-12);
 }
 
+TEST(RootFinder, ValidateAcceptsNonRealRootsOnTheSturmFallback) {
+  // x^3 - 2 has one real root and two complex ones: the tree algorithm
+  // does not apply, the Sturm fallback answers, and validation certifies
+  // the one cell without requiring all roots real.
+  const auto rep = find_real_roots(Poly{-2, 0, 0, 1}, validated(30));
+  EXPECT_TRUE(rep.used_sturm_fallback);
+  ASSERT_EQ(rep.roots.size(), 1u);
+  EXPECT_NEAR(rep.root_as_double(0), std::cbrt(2.0), 1e-8);
+  RootFinderConfig plain;
+  plain.mu_bits = 30;
+  EXPECT_EQ(find_real_roots(Poly{-2, 0, 0, 1}, plain).roots, rep.roots);
+}
+
 TEST(RootFinder, CeilingConvention) {
   // Root at exactly 5/4 with mu = 1: ceil(2 * 1.25) = 3.
   const auto rep = find_real_roots(Poly{-5, 4}, validated(1));
