@@ -28,14 +28,15 @@ struct Finder {
     isolate::IsolatingCell cell;
     cell.scale = s;
     cell.hi = hi;
-    if (p.sign_at_scaled(hi, s) == 0) {
+    const int s_hi = p.sign_at_scaled(hi, s);
+    if (s_hi == 0) {
       cell.lo = hi;
       cell.exact = true;
       return cell;
     }
     cell.lo = lo;
     cell.s_lo = sign_right_limit(p, lo, s);
-    cell.s_hi = sign_left_limit(p, hi, s);
+    cell.s_hi = s_hi;  // p(hi) != 0: the left limit is p's own sign
     return cell;
   }
 

@@ -694,7 +694,7 @@ void run_graph(const Poly& work, const RootFinderConfig& config,
   TaskGraph graph;
   auto staged = stage_parallel_run(work, config, parallel, graph);
   graph.validate();
-  TaskPool pool(parallel.num_threads, parallel.pool_policy);
+  TaskPool pool(parallel.num_threads);
   out.pool = pool.run(graph);
   out.report = finish_staged_run(*staged);
   out.trace = TaskTrace::from_graph(graph);
@@ -751,8 +751,12 @@ ParallelRunResult find_real_roots_parallel(const Poly& p,
     if (!config.allow_sturm_fallback) throw;
     sturm = true;
     if (!reduced) {
+      // Sturm counting needs a squarefree input; test with a gcd and
+      // reduce only when it is non-trivial, as the radii path does.
       work = p.primitive_part();
-      reduce_to_squarefree();
+      if (poly_gcd(work, work.derivative()).degree() > 0) {
+        reduce_to_squarefree();
+      }
     }
   }
 
@@ -762,7 +766,6 @@ ParallelRunResult find_real_roots_parallel(const Poly& p,
     out.used_sequential_fallback = true;
     report.mu = config.mu_bits;
     report.bound_pow2 = root_bound_pow2(work);
-    report.distinct_roots = work.degree();
     report.used_sturm_fallback = sturm;
     if (sturm) {
       report.roots = sturm_find_roots(work, config.mu_bits, config.solver,
@@ -770,6 +773,7 @@ ParallelRunResult find_real_roots_parallel(const Poly& p,
     } else {
       report.roots = {linear_root_mu_approx(work, config.mu_bits)};
     }
+    report.distinct_roots = static_cast<int>(report.roots.size());
     if (config.validate) {
       require_certified_cells(work, report.roots, config.mu_bits);
     }

@@ -18,7 +18,7 @@
 // discrete-event simulator (src/sim/) replays under arbitrary simulated
 // processor counts.
 //
-// Results are bit-identical for every thread count, grain and policy:
+// Results are bit-identical for every thread count and grain:
 // each task is a pure function of its dependencies' outputs.
 #pragma once
 
@@ -54,7 +54,9 @@ struct ParallelConfig {
   /// available parallelism, the paper's Section 3.1/5.2 granularity
   /// knob made explicit.  Results are bit-identical for every value.
   int grain_chunk = 1;
-  /// Queueing policy: the paper's central queue or per-worker stealing.
+  /// Not a setting: TaskPool has one queue.  Kept only so that
+  /// perfbench/replay.cpp compiles unchanged (a compatibility no-op; drop
+  /// it the next time the benchmark itself changes).
   PoolPolicy pool_policy = PoolPolicy::kCentralQueue;
 };
 

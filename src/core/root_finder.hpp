@@ -56,7 +56,7 @@ struct RootReport {
   std::size_t mu = 0;          ///< scale of `roots`
   std::size_t bound_pow2 = 0;  ///< R: all roots lie in (-2^R, 2^R)
   int degree = 0;              ///< degree of the input
-  int distinct_roots = 0;      ///< n*
+  int distinct_roots = 0;      ///< n*: distinct real roots found
   bool squarefree_reduced = false;
   bool used_sturm_fallback = false;
   IntervalStats stats;

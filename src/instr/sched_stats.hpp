@@ -22,9 +22,6 @@ namespace pr::instr {
 /// How one pool worker spent the run.  Times are wall seconds.
 struct WorkerCounters {
   std::size_t tasks = 0;        ///< tasks executed by this worker
-  std::size_t steals = 0;       ///< tasks taken from another worker's deque
-                                ///< (work-stealing policy; 0 under the
-                                ///< central queue, which has no victim)
   std::size_t lock_waits = 0;   ///< scheduler-lock acquisitions that blocked
   double lock_wait_seconds = 0; ///< total time blocked on scheduler locks
   double idle_seconds = 0;      ///< total time parked waiting for work

@@ -141,7 +141,7 @@ ParallelRunResult find_real_roots_radii_parallel(
   QirStats totals;
   if (!run.isolation.cells.empty()) {
     graph.validate();
-    TaskPool pool(parallel.num_threads, parallel.pool_policy);
+    TaskPool pool(parallel.num_threads);
     out.pool = pool.run(graph);
     out.trace = TaskTrace::from_graph(graph);
     for (const auto& st : stats) totals += st;

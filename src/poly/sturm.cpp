@@ -19,28 +19,34 @@ int variations(const std::vector<int>& signs) {
   return count;
 }
 
-}  // namespace
-
-int sign_right_limit(const Poly& p, const BigInt& a, std::size_t w) {
-  Poly cur = p;
-  while (!cur.is_zero()) {
-    const int s = cur.sign_at_scaled(a, w);
-    if (s != 0) return s;
-    cur = cur.derivative();
+/// Sign at a/2^w of the first derivative p^(k), k >= 0, that does not
+/// vanish there, with k in `order`; 0 for the zero polynomial.  p is
+/// evaluated in place: derivatives are formed only when p vanishes.
+int first_nonvanishing_sign(const Poly& p, const BigInt& a, std::size_t w,
+                            int& order) {
+  order = 0;
+  if (p.is_zero()) return 0;
+  const int s = p.sign_at_scaled(a, w);
+  if (s != 0) return s;
+  for (Poly cur = p.derivative(); !cur.is_zero(); cur = cur.derivative()) {
+    ++order;
+    const int sd = cur.sign_at_scaled(a, w);
+    if (sd != 0) return sd;
   }
   return 0;
 }
 
+}  // namespace
+
+int sign_right_limit(const Poly& p, const BigInt& a, std::size_t w) {
+  int order;
+  return first_nonvanishing_sign(p, a, w, order);
+}
+
 int sign_left_limit(const Poly& p, const BigInt& a, std::size_t w) {
-  Poly cur = p;
-  int flip = 1;
-  while (!cur.is_zero()) {
-    const int s = cur.sign_at_scaled(a, w);
-    if (s != 0) return flip * s;
-    cur = cur.derivative();
-    flip = -flip;  // odd-order first nonzero derivative flips the sign
-  }
-  return 0;
+  int order;
+  const int s = first_nonvanishing_sign(p, a, w, order);
+  return order % 2 == 0 ? s : -s;  // odd order flips the sign
 }
 
 SturmChain::SturmChain(const Poly& p) {

@@ -232,12 +232,11 @@ ServiceResult RootService::finalize_cold(const CanonicalRequest& req,
     auto entry = std::make_shared<CacheEntry>();
     entry->canonical = req.canonical;
     // What a later refine sharpens: the cells isolate roots of the
-    // squarefree part when the cold run reduced (or Sturm-fell-back,
-    // which reduces first), of the canonical input itself otherwise.
-    entry->refine_poly =
-        (report.squarefree_reduced || report.used_sturm_fallback)
-            ? squarefree_part(req.canonical)
-            : req.canonical;
+    // squarefree part when the cold run reduced, of the canonical input
+    // itself otherwise.
+    entry->refine_poly = report.squarefree_reduced
+                             ? squarefree_part(req.canonical)
+                             : req.canonical;
     entry->report = report;
     entry->strategy = req.strategy;
     cache_->insert(req.hash, std::move(entry));
@@ -414,8 +413,7 @@ std::vector<ServiceResult> RootService::run_batch(
                                             config_.parallel, graph));
       }
       graph.validate();
-      TaskPool pool(config_.parallel.num_threads,
-                    config_.parallel.pool_policy);
+      TaskPool pool(config_.parallel.num_threads);
       pool.run(graph);
     } catch (const Error&) {
       // One non-normal tree poisons the whole shared run (the pool stops

@@ -47,7 +47,7 @@ struct ServiceConfig {
   /// Per-request solver settings; finder.mu_bits is the default precision
   /// for requests that do not specify their own.
   RootFinderConfig finder;
-  /// Shared-pool execution: thread count, queue policy and grain.
+  /// Shared-pool execution: thread count and grain.
   ParallelConfig parallel;
   bool cache_enabled = true;
   std::size_t cache_capacity = 1024;

@@ -336,6 +336,31 @@ TEST(IsolateStrategy, AcceptsInputsThePaperPathRejects) {
   EXPECT_FALSE(report.used_sturm_fallback);
 }
 
+// Inputs with non-real roots send the paper strategy to the Sturm
+// fallback; its report must still describe the input the way the radii
+// strategy does: reduced only when the input has a repeated factor, and
+// n* = the number of distinct real roots found.
+TEST(IsolateStrategy, SturmFallbackReportMatchesRadii) {
+  const Poly x2p1{1, 0, 1};
+  const struct {
+    const char* name;
+    Poly poly;
+  } cases[] = {
+      {"x^4+1", Poly{1, 0, 0, 0, 1}},
+      {"x^3-2", Poly{-2, 0, 0, 1}},
+      {"(x^2+1)^2(x-1)", x2p1 * x2p1 * Poly{-1, 1}},
+  };
+  for (const auto& c : cases) {
+    RootFinderConfig paper_cfg;
+    const auto paper = find_real_roots(c.poly, paper_cfg);
+    const auto radii = find_real_roots(c.poly, radii_config());
+    EXPECT_TRUE(paper.used_sturm_fallback) << c.name;
+    expect_same_report(paper, radii, c.name);
+    EXPECT_EQ(paper.bound_pow2, radii.bound_pow2) << c.name;
+    EXPECT_EQ(paper.squarefree_reduced, radii.squarefree_reduced) << c.name;
+  }
+}
+
 TEST(IsolateStrategy, GeneralSquarefreeInputsCrossCheckedBySturm) {
   Prng rng(99);
   auto cfg = radii_config(64);

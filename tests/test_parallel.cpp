@@ -178,26 +178,6 @@ TEST(ParallelDriver, WilkinsonParallel) {
   }
 }
 
-TEST(ParallelDriver, WorkStealingPolicyMatchesCentralQueue) {
-  Prng rng(99);
-  const auto input = paper_input(10, rng);
-  const RootFinderConfig cfg = base_config(40);
-  ParallelConfig central, stealing;
-  central.num_threads = 4;
-  stealing.num_threads = 4;
-  stealing.pool_policy = PoolPolicy::kWorkStealing;
-  const auto a = find_real_roots_parallel(input.poly, cfg, central);
-  const auto b = find_real_roots_parallel(input.poly, cfg, stealing);
-  EXPECT_FALSE(a.used_sequential_fallback);
-  EXPECT_FALSE(b.used_sequential_fallback);
-  EXPECT_EQ(a.report.roots, b.report.roots);
-  // Costs are deterministic regardless of the queueing policy.
-  ASSERT_EQ(a.trace.size(), b.trace.size());
-  for (std::size_t i = 0; i < a.trace.size(); ++i) {
-    EXPECT_EQ(a.trace.tasks[i].cost, b.trace.tasks[i].cost);
-  }
-}
-
 TEST(ParallelDriver, InherentParallelismIsSubstantial) {
   Prng rng(99);
   const auto input = paper_input(18, rng);
@@ -209,8 +189,8 @@ TEST(ParallelDriver, InherentParallelismIsSubstantial) {
   EXPECT_GT(prof.at_least[1], 0.3) << ">= 2 tasks most of the time";
 }
 
-// The ISSUE's determinism matrix: RootReports must be bit-identical
-// across every {policy} x {thread count} x {grain chunk} combination,
+// The determinism matrix: RootReports must be bit-identical across every
+// {grain} x {thread count} x {grain chunk} combination,
 // because each task is a pure function of its dependencies' outputs and
 // chunking only changes how units are packed into scheduled tasks.
 TEST(ParallelDriver, DeterministicAcrossPolicyThreadsAndChunks) {
@@ -228,23 +208,17 @@ TEST(ParallelDriver, DeterministicAcrossPolicyThreadsAndChunks) {
     const auto ref = find_real_roots(w.poly, cfg);
     for (RemainderGrain grain :
          {RemainderGrain::kPerCoefficient, RemainderGrain::kPerOperation}) {
-      for (PoolPolicy policy :
-           {PoolPolicy::kCentralQueue, PoolPolicy::kWorkStealing}) {
-        for (int threads : {1, 2, 8}) {
-          for (int chunk : {1, 4}) {
-            ParallelConfig pc;
-            pc.grain = grain;
-            pc.pool_policy = policy;
-            pc.num_threads = threads;
-            pc.grain_chunk = chunk;
-            const auto run = find_real_roots_parallel(w.poly, cfg, pc);
-            EXPECT_FALSE(run.used_sequential_fallback);
-            EXPECT_EQ(run.report.roots, ref.roots)
-                << w.name << " policy="
-                << (policy == PoolPolicy::kCentralQueue ? "central" : "steal")
-                << " threads=" << threads << " chunk=" << chunk;
-            EXPECT_EQ(run.report.multiplicities, ref.multiplicities) << w.name;
-          }
+      for (int threads : {1, 2, 8}) {
+        for (int chunk : {1, 4}) {
+          ParallelConfig pc;
+          pc.grain = grain;
+          pc.num_threads = threads;
+          pc.grain_chunk = chunk;
+          const auto run = find_real_roots_parallel(w.poly, cfg, pc);
+          EXPECT_FALSE(run.used_sequential_fallback);
+          EXPECT_EQ(run.report.roots, ref.roots)
+              << w.name << " threads=" << threads << " chunk=" << chunk;
+          EXPECT_EQ(run.report.multiplicities, ref.multiplicities) << w.name;
         }
       }
     }
@@ -263,16 +237,13 @@ RootFinderConfig forced_modular_config(std::size_t mu) {
   return cfg;
 }
 
-std::string describe(const char* name, bool modular, PoolPolicy policy,
-                     int threads) {
+std::string describe(const char* name, bool modular, int threads) {
   return std::string(name) + " modular=" + (modular ? "on" : "off") +
-         " policy=" +
-         (policy == PoolPolicy::kCentralQueue ? "central" : "steal") +
          " threads=" + std::to_string(threads);
 }
 
 // RootReports are bit-identical to the one-thread exact run under every
-// {thread count} x {policy} x {modular off/on} combination.
+// {thread count} x {modular off/on} combination.
 TEST(ParallelDriver, DeterministicAcrossThreadsPoliciesAndModular) {
   struct Workload {
     const char* name;
@@ -288,18 +259,14 @@ TEST(ParallelDriver, DeterministicAcrossThreadsPoliciesAndModular) {
     for (bool modular : {false, true}) {
       const RootFinderConfig cfg =
           modular ? forced_modular_config(24) : base_config(24);
-      for (PoolPolicy policy :
-           {PoolPolicy::kCentralQueue, PoolPolicy::kWorkStealing}) {
-        for (int threads : {1, 2, 4, 8}) {
-          ParallelConfig pc;
-          pc.pool_policy = policy;
-          pc.num_threads = threads;
-          const auto run = find_real_roots_parallel(w.poly, cfg, pc);
-          const std::string where = describe(w.name, modular, policy, threads);
-          EXPECT_FALSE(run.used_sequential_fallback) << where;
-          EXPECT_EQ(run.report.roots, ref.roots) << where;
-          EXPECT_EQ(run.report.multiplicities, ref.multiplicities) << where;
-        }
+      for (int threads : {1, 2, 4, 8}) {
+        ParallelConfig pc;
+        pc.num_threads = threads;
+        const auto run = find_real_roots_parallel(w.poly, cfg, pc);
+        const std::string where = describe(w.name, modular, threads);
+        EXPECT_FALSE(run.used_sequential_fallback) << where;
+        EXPECT_EQ(run.report.roots, ref.roots) << where;
+        EXPECT_EQ(run.report.multiplicities, ref.multiplicities) << where;
       }
     }
   }
@@ -309,17 +276,12 @@ TEST(ParallelDriver, ModularPathMatchesSequential) {
   Prng rng(31);
   const auto input = paper_input(12, rng);
   const auto ref = find_real_roots(input.poly, base_config(40));
-  for (PoolPolicy policy :
-       {PoolPolicy::kCentralQueue, PoolPolicy::kWorkStealing}) {
-    ParallelConfig pc;
-    pc.num_threads = 4;
-    pc.pool_policy = policy;
-    const auto run =
-        find_real_roots_parallel(input.poly, forced_modular_config(40), pc);
-    const std::string where = describe("paper-12", true, policy, 4);
-    EXPECT_FALSE(run.used_sequential_fallback) << where;
-    EXPECT_EQ(run.report.roots, ref.roots) << where;
-  }
+  ParallelConfig pc;
+  pc.num_threads = 4;
+  const auto run =
+      find_real_roots_parallel(input.poly, forced_modular_config(40), pc);
+  EXPECT_FALSE(run.used_sequential_fallback);
+  EXPECT_EQ(run.report.roots, ref.roots);
 }
 
 TEST(ParallelDriver, WilkinsonAcrossThreadCounts) {
@@ -328,19 +290,14 @@ TEST(ParallelDriver, WilkinsonAcrossThreadCounts) {
   for (bool modular : {false, true}) {
     const RootFinderConfig cfg =
         modular ? forced_modular_config(16) : base_config(16);
-    for (PoolPolicy policy :
-         {PoolPolicy::kCentralQueue, PoolPolicy::kWorkStealing}) {
-      for (int threads : {2, 5, 8}) {
-        ParallelConfig pc;
-        pc.pool_policy = policy;
-        pc.num_threads = threads;
-        const auto run = find_real_roots_parallel(p, cfg, pc);
-        const std::string where = describe("wilkinson", modular, policy,
-                                           threads);
-        EXPECT_FALSE(run.used_sequential_fallback) << where;
-        EXPECT_EQ(run.report.roots, ref.roots) << where;
-        EXPECT_EQ(run.report.multiplicities, ref.multiplicities) << where;
-      }
+    for (int threads : {2, 5, 8}) {
+      ParallelConfig pc;
+      pc.num_threads = threads;
+      const auto run = find_real_roots_parallel(p, cfg, pc);
+      const std::string where = describe("wilkinson", modular, threads);
+      EXPECT_FALSE(run.used_sequential_fallback) << where;
+      EXPECT_EQ(run.report.roots, ref.roots) << where;
+      EXPECT_EQ(run.report.multiplicities, ref.multiplicities) << where;
     }
   }
 }
@@ -358,23 +315,18 @@ TEST(ParallelDriver, RepeatedRootFallbackAcrossThreadsPoliciesAndModular) {
   for (bool modular : {false, true}) {
     const RootFinderConfig cfg =
         modular ? forced_modular_config(12) : base_config(12);
-    for (PoolPolicy policy :
-         {PoolPolicy::kCentralQueue, PoolPolicy::kWorkStealing}) {
-      for (int threads : {1, 2, 4, 8}) {
-        ParallelConfig pc;
-        pc.pool_policy = policy;
-        pc.num_threads = threads;
-        const std::string where = describe("repeated", modular, policy,
-                                           threads);
-        const auto fb = find_real_roots_parallel(rep, cfg, pc);
-        EXPECT_TRUE(fb.report.squarefree_reduced) << where;
-        EXPECT_FALSE(fb.report.used_sturm_fallback) << where;
-        EXPECT_EQ(fb.report.roots, ref.roots) << where;
-        EXPECT_EQ(fb.report.multiplicities, ref.multiplicities) << where;
-        const auto run = find_real_roots_parallel(input.poly, cfg, pc);
-        EXPECT_FALSE(run.report.squarefree_reduced) << where;
-        EXPECT_FALSE(run.used_sequential_fallback) << where;
-      }
+    for (int threads : {1, 2, 4, 8}) {
+      ParallelConfig pc;
+      pc.num_threads = threads;
+      const std::string where = describe("repeated", modular, threads);
+      const auto fb = find_real_roots_parallel(rep, cfg, pc);
+      EXPECT_TRUE(fb.report.squarefree_reduced) << where;
+      EXPECT_FALSE(fb.report.used_sturm_fallback) << where;
+      EXPECT_EQ(fb.report.roots, ref.roots) << where;
+      EXPECT_EQ(fb.report.multiplicities, ref.multiplicities) << where;
+      const auto run = find_real_roots_parallel(input.poly, cfg, pc);
+      EXPECT_FALSE(run.report.squarefree_reduced) << where;
+      EXPECT_FALSE(run.used_sequential_fallback) << where;
     }
   }
 }
@@ -387,17 +339,13 @@ TEST(ParallelDriver, ComplexRootInputFallsBackInsteadOfFailing) {
   const Poly p = random_squarefree_poly(24, 16, rng);
   const RootFinderConfig cfg = base_config(107);
   const auto ref = find_real_roots(p, cfg);
-  for (PoolPolicy policy :
-       {PoolPolicy::kCentralQueue, PoolPolicy::kWorkStealing}) {
-    for (int rep = 0; rep < 20; ++rep) {
-      ParallelConfig pc;
-      pc.num_threads = 4;
-      pc.pool_policy = policy;
-      const auto run = find_real_roots_parallel(p, cfg, pc);
-      EXPECT_TRUE(run.used_sequential_fallback) << "rep " << rep;
-      EXPECT_EQ(run.report.roots, ref.roots) << "rep " << rep;
-      EXPECT_EQ(run.report.multiplicities, ref.multiplicities);
-    }
+  for (int rep = 0; rep < 40; ++rep) {
+    ParallelConfig pc;
+    pc.num_threads = 4;
+    const auto run = find_real_roots_parallel(p, cfg, pc);
+    EXPECT_TRUE(run.used_sequential_fallback) << "rep " << rep;
+    EXPECT_EQ(run.report.roots, ref.roots) << "rep " << rep;
+    EXPECT_EQ(run.report.multiplicities, ref.multiplicities);
   }
   // The same input co-staged with a real-rooted one in a service batch.
   service::ServiceConfig scfg;
