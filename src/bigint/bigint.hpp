@@ -77,13 +77,9 @@ struct MulDispatch {
   /// for a double-size transform and the crossover is not a smooth curve.
   std::uint32_t ntt_threshold = 256;
 
-  /// Everything on at the calibrated thresholds: the fastest exact
+  /// Everything on at the compiled thresholds above: the fastest exact
   /// configuration (used by the benches and the large-operand callers).
-  /// The thresholds come from the process-wide calibrated-thresholds word
-  /// (BigInt::set_calibrated_mul_thresholds) -- the compiled-in defaults
-  /// above until a calibration profile is applied.  Defined in
-  /// bigint.cpp.
-  static MulDispatch fast();
+  static MulDispatch fast() { return {.karatsuba = true, .ntt = true}; }
 
   friend bool operator==(const MulDispatch&, const MulDispatch&) = default;
 };
@@ -364,17 +360,6 @@ class BigInt {
   /// Equivalent to the pre-MulDispatch global flag.
   static void set_karatsuba_enabled(bool on);
   static bool karatsuba_enabled();
-
-  /// Installs host-calibrated dispatch thresholds (calibrate/).  Updates
-  /// the calibrated-thresholds word that MulDispatch::fast() reads AND
-  /// rewrites the thresholds of the live dispatch configuration while
-  /// preserving its flags (compare-exchange), so an already-enabled
-  /// Karatsuba/NTT ladder moves to the calibrated crossovers but the
-  /// schoolbook-only default stays schoolbook-only -- calibration moves
-  /// *when* a path fires, never *whether* one is enabled.  Thresholds
-  /// clamp to [4, 65535] like every other threshold store.
-  static void set_calibrated_mul_thresholds(std::uint32_t karatsuba,
-                                            std::uint32_t ntt);
 
   /// Default limb count at/above which Karatsuba recursion is used when
   /// enabled (MulDispatch::karatsuba_threshold overrides per config).

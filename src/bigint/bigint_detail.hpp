@@ -35,17 +35,6 @@ namespace pr::detail {
 /// threshold mid-toggle.
 std::atomic<std::uint64_t>& mul_dispatch_word();
 
-/// The packed *calibrated-thresholds* word (defined in bigint_mul.cpp):
-/// bits 0..15 hold the Karatsuba threshold, bits 16..31 the NTT threshold,
-/// both clamped to [4, 2^16).  This is what MulDispatch::fast() reads, so
-/// a host calibration (calibrate/calibrate.hpp) retunes every fast()
-/// caller without touching the *live* dispatch word above -- benches that
-/// force threshold-4 configurations mid-run keep their forced values, and
-/// the schoolbook-only default configuration is never affected (thresholds
-/// are inert while both flags are off).  Same release/acquire contract as
-/// mul_dispatch_word().
-std::atomic<std::uint64_t>& calibrated_mul_thresholds_word();
-
 /// Thresholds are clamped to [4, 2^16).  The floor is a termination
 /// requirement, not taste: Karatsuba's recursion maps an n-limb operand to
 /// halves of ceil(n/2) + 1 limbs (the +1 absorbs the a_lo + a_hi carry),
@@ -55,11 +44,6 @@ inline std::uint64_t clamp_threshold(std::uint64_t t) {
   if (t < 4) return 4;
   if (t > 0xffff) return 0xffff;
   return t;
-}
-
-inline std::uint64_t encode_calibrated_thresholds(std::uint64_t karatsuba,
-                                                  std::uint64_t ntt) {
-  return clamp_threshold(karatsuba) | (clamp_threshold(ntt) << 16);
 }
 
 inline std::uint64_t encode_mul_dispatch(const MulDispatch& d) {

@@ -3,6 +3,8 @@
 // allocations are still counted -- they are real).
 #include <array>
 #include <ostream>
+#include <string>
+#include <vector>
 
 #include "bigint/bigint.hpp"
 #include "support/error.hpp"
@@ -79,18 +81,17 @@ BigInt BigInt::from_decimal(std::string_view s) {
 std::string BigInt::to_decimal() const {
   if (is_zero()) return "0";
   detail::LimbStore work = mag_;
-  std::string out;
-  while (!work.empty()) {
-    Limb rem = div_limb_inplace(work, kChunkBase);
-    if (work.empty()) {
-      // Most significant chunk: no zero padding.
-      out.insert(0, std::to_string(rem));
-    } else {
-      std::string part = std::to_string(rem);
-      out.insert(0, std::string(kChunkDigits - part.size(), '0') + part);
-    }
+  // Chunks come out least significant first; collect them, then append
+  // in reverse so the string only ever grows at its end.
+  std::vector<Limb> chunks;
+  while (!work.empty()) chunks.push_back(div_limb_inplace(work, kChunkBase));
+  std::string out = neg_ ? "-" : "";
+  out += std::to_string(chunks.back());  // most significant: no padding
+  for (std::size_t i = chunks.size() - 1; i-- > 0;) {
+    const std::string part = std::to_string(chunks[i]);
+    out.append(kChunkDigits - part.size(), '0');
+    out += part;
   }
-  if (neg_) out.insert(0, "-");
   return out;
 }
 

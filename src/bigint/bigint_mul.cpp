@@ -22,12 +22,6 @@ std::atomic<std::uint64_t>& mul_dispatch_word() {
   return word;
 }
 
-std::atomic<std::uint64_t>& calibrated_mul_thresholds_word() {
-  static std::atomic<std::uint64_t> word{encode_calibrated_thresholds(
-      MulDispatch{}.karatsuba_threshold, MulDispatch{}.ntt_threshold)};
-  return word;
-}
-
 }  // namespace detail
 
 namespace {

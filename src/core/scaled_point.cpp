@@ -54,11 +54,17 @@ std::string scaled_to_string(const BigInt& a, std::size_t w, int digits) {
     scaled += a.negative() ? -BigInt::pow2(w - 1) : BigInt::pow2(w - 1);
   }
   BigInt q = floor_shift(scaled.negative() ? -scaled : scaled, w);
-  std::string s = q.to_decimal();
+  std::string q_dec = q.to_decimal();
   const auto d = static_cast<std::size_t>(digits);
-  if (s.size() <= d) s.insert(0, std::string(d + 1 - s.size(), '0'));
-  s.insert(s.size() - d, ".");
-  if (scaled.negative()) s.insert(0, "-");
+  // Left-pad so at least one digit precedes the point, then assemble
+  // sign, integer part, point and fraction front to back.
+  if (q_dec.size() <= d) {
+    q_dec = std::string(d + 1 - q_dec.size(), '0') + q_dec;
+  }
+  std::string s = scaled.negative() ? "-" : "";
+  s.append(q_dec, 0, q_dec.size() - d);
+  s += '.';
+  s.append(q_dec, q_dec.size() - d, d);
   return s;
 }
 

@@ -38,7 +38,7 @@ struct ModularConfig {
   /// seam: off forces every floor-clearing combine onto the modular path.
   bool combine_cost_gate = true;
 
-  /// Route mod-p convolutions above the calibrated length cutoff through
+  /// Route mod-p convolutions above the cost model's length cutoff through
   /// the NTT (modular/ntt.hpp).  Bit-identical either way; off pins every
   /// convolution to schoolbook (differential tests, cost-model A/B runs).
   bool use_ntt = true;
@@ -46,15 +46,15 @@ struct ModularConfig {
   /// Batch several per-prime PRS images into one TaskPool task when the
   /// per-image cost model says a single image is too small to amortize
   /// dispatch (below ~degree 40).  Purely a scheduling change; the task
-  /// work floor comes from the runtime tuning (modular/tuning.hpp).
+  /// work floor is a compiled constant of modular/modular_prs.cpp.
   bool batch_images = true;
 
   /// Fan the per-coefficient Garner dots of one CRT level out across the
   /// pool only when coefficient_count x prime_count clears this threshold
   /// (levels below it run the wave loop inline on one task).  Above it,
-  /// the per-level wave model (CrtWaveModel, modular/tuning.hpp) sizes
-  /// the fan-out to the level's Garner work, quadratic in its prime
-  /// count.
+  /// the per-level wave model (crt_level_waves, modular/modular_prs.hpp)
+  /// sizes the fan-out to the level's Garner work, quadratic in its
+  /// prime count.
   std::size_t crt_wave_min_work = 4096;
 
   /// Test seam: moduli to try *before* the deterministic table (each must

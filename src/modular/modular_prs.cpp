@@ -6,10 +6,46 @@
 
 #include "instr/counters.hpp"
 #include "instr/phase.hpp"
-#include "modular/tuning.hpp"
 #include "support/error.hpp"
 
 namespace pr::modular {
+
+namespace {
+
+/// Image batching floor: per-prime images are fused into one task until
+/// it clears this many word-multiply units (task dispatch is ~2500
+/// units, so dispatch stays under ~12% of a task).
+constexpr double kImageTaskMinUnits = 20000.0;
+
+/// CRT wave model (see crt_level_waves): Garner work per coefficient is
+/// kCrtUnitsLinear * k + kCrtUnitsQuadratic * k^2 units at k primes, and
+/// one wave task carries kCrtUnitsPerWave of it.
+constexpr double kCrtUnitsLinear = 2.0;
+constexpr double kCrtUnitsQuadratic = 1.0;
+constexpr double kCrtUnitsPerWave = 16384.0;
+
+/// Wave-slot cap: min(kCrtMaxFanout, kCrtFanoutPerThread * threads).
+constexpr std::size_t kCrtMaxFanout = 16;
+constexpr std::size_t kCrtFanoutPerThread = 2;
+
+}  // namespace
+
+std::size_t crt_wave_fanout_cap(int threads) {
+  const auto t = static_cast<std::size_t>(std::max(1, threads));
+  return std::min(kCrtMaxFanout, kCrtFanoutPerThread * t);
+}
+
+std::size_t crt_level_waves(std::size_t cnt, std::size_t k,
+                            std::size_t cap) {
+  if (cap <= 1 || cnt == 0) return 1;
+  const auto dk = static_cast<double>(k);
+  const double units = static_cast<double>(cnt) *
+                       (kCrtUnitsLinear * dk + kCrtUnitsQuadratic * dk * dk);
+  const double waves = units / kCrtUnitsPerWave;
+  if (waves <= 1.0) return 1;
+  if (waves >= static_cast<double>(cap)) return cap;
+  return static_cast<std::size_t>(waves);
+}
 
 MultimodularPrs::MultimodularPrs(const Poly& f0, const ModularConfig& cfg)
     : cfg_(cfg),
@@ -165,16 +201,14 @@ std::size_t MultimodularPrs::image_batch(int threads) const {
   // Per-image cost in the word-multiply units of the combine gate: the
   // recurrence touches ~sum_d 12 d ~ 6 n^2 units of field MACs, one field
   // inverse per level (~150 units each), and the input reduction pays ~2
-  // units per limb of every coefficient.  Batch until a task clears the
-  // tuning's min_task_units (task dispatch is ~2500 units; the floor is
-  // calibration-overridable, modular/tuning.hpp), but keep at least ~2
-  // tasks per worker so batching never serializes a wide pool.
-  const double min_task_units = modular_tuning().batch.min_task_units;
+  // units per limb of every coefficient.  Batch until a task clears
+  // kImageTaskMinUnits, but keep at least ~2 tasks per worker so batching
+  // never serializes a wide pool.
   const double dn = static_cast<double>(n_);
   const double in_limbs = static_cast<double>(f0_.max_coeff_bits() / 64 + 1);
   const double cost =
       6.0 * dn * dn + 150.0 * dn + 2.0 * (2.0 * dn + 2.0) * in_limbs;
-  auto batch = static_cast<std::size_t>(min_task_units / cost) + 1;
+  auto batch = static_cast<std::size_t>(kImageTaskMinUnits / cost) + 1;
   const auto workers = static_cast<std::size_t>(std::max(1, threads));
   const std::size_t cap = std::max<std::size_t>(1, eager_ / (2 * workers));
   return std::min(std::max<std::size_t>(1, batch), cap);
@@ -265,15 +299,14 @@ void MultimodularPrs::prepare_level(int i) {
   level_coeffs_.assign(cnt, BigInt());
   // Fan the level out only when its Garner volume clears the threshold;
   // above it, the wave model (digit cost quadratic in the level's prime
-  // count, modular/tuning.hpp) sizes the fan-out to the level's measured
+  // count, crt_level_waves) sizes the fan-out to the level's measured
   // work instead of always using the full width -- shallow levels with
   // few primes stop paying full-fanout dispatch.  The wave partition is
   // j mod level_waves_, so every wave touches a similar mix of
   // coefficient positions.
   level_waves_ =
       cnt * lvl_k_ >= cfg_.crt_wave_min_work
-          ? crt_level_waves(modular_tuning().crt, cnt, lvl_k_,
-                            std::min(wave_width_, cnt))
+          ? crt_level_waves(cnt, lvl_k_, std::min(wave_width_, cnt))
           : 1;
 }
 

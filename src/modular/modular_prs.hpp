@@ -76,7 +76,7 @@ class MultimodularPrs {
   // --- image batching (cfg.batch_images) -----------------------------------
   // One task per prime is too fine below ~degree 40: a single image costs
   // ~6 n^2 word multiplies, which rivals task dispatch (~2500 units, the
-  // combine gate's calibrated constant).  The driver asks for a batch
+  // combine gate's measured constant).  The driver asks for a batch
   // size, schedules num_image_tasks() tasks, and each one images a
   // contiguous run of slots.  Purely a scheduling regrouping: the same
   // run_image calls happen in the same per-slot order within a batch.
@@ -184,6 +184,23 @@ class MultimodularPrs {
   std::size_t level_waves_ = 1;   // wave count the level's volume justifies
   std::vector<BigInt> level_coeffs_;  // F_{i+1} coefficients, wave-filled
 };
+
+/// Wave tasks per reconstruction level for `threads` workers:
+/// min(16, 2 * threads), at least 1.  This is the number of wave tasks
+/// the driver's graph builds; crt_level_waves decides how many of them
+/// do work.
+std::size_t crt_wave_fanout_cap(int threads);
+
+/// Wave count for one level of `cnt` coefficients at prime count `k`.
+/// Reconstructing one coefficient from k residues costs ~k^2/2
+/// multiply-accumulates in the Garner digit stage plus ~k^2/2 in the
+/// Horner limb assembly, with a linear term for the per-digit fold, so
+/// the level carries cnt * (2k + k^2) units of work and fans out to one
+/// wave per 16384 units (below that a wave does not amortize its ~2500
+/// units of dispatch), capped by `cap` (the allocated slots, already
+/// clamped to cnt by the caller).  Returns at least 1; monotone
+/// nondecreasing in cnt and k.
+std::size_t crt_level_waves(std::size_t cnt, std::size_t k, std::size_t cap);
 
 /// One-call form, inline on the calling thread: images + CRT, then
 /// finalize.  nullopt == caller should run the exact

@@ -6,7 +6,6 @@
 
 #include "instr/counters.hpp"
 #include "modular/simd/simd.hpp"
-#include "modular/tuning.hpp"
 #include "support/error.hpp"
 
 namespace pr::modular {
@@ -17,6 +16,10 @@ namespace {
 /// ~2M convolutions, far past anything the tree combines produce, and
 /// bounds the registry's memory (each plan is ~3n words).
 constexpr unsigned kMaxPlanLog2 = 22;
+
+/// Operands shorter than this never profit from a transform (a cheap
+/// early-out, so the profitability test costs nothing for tiny products).
+constexpr std::size_t kNttMinOperand = 16;
 
 /// Shared butterfly passes for both directions (the twiddle table decides
 /// which).  Input is in bit-reversed order; output is natural.  The first
@@ -137,16 +140,12 @@ void ntt_inverse(std::vector<Zp>& a, const NttPlan& plan,
 }
 
 double ntt_butterfly_units() {
-  // Calibration override first (modular/tuning.hpp): a measured host
-  // profile replaces the compiled per-ISA constant.  0 = no override.
-  const double tuned = modular_tuning().ntt.butterfly_units;
-  if (tuned > 0.0) return tuned;
-  // Compiled defaults: the per-butterfly charge (one Montgomery multiply
-  // + two adds, including its share of the pass bookkeeping) is
-  // ISA-dependent -- the vector kernels retire several lane-parallel
-  // butterflies per iteration, so a butterfly costs fewer schoolbook MAC
-  // units.  Calibrated against bench_ntt per ISA so the model's crossover
-  // matches the measured one.  The choice only moves the speed cutoff --
+  // The per-butterfly charge (one Montgomery multiply + two adds,
+  // including its share of the pass bookkeeping) is ISA-dependent -- the
+  // vector kernels retire several lane-parallel butterflies per
+  // iteration, so a butterfly costs fewer schoolbook MAC units.  Measured
+  // against bench_ntt per ISA so the model's crossover matches the
+  // measured one.  The choice only moves the speed cutoff --
   // both sides of it compute identical coefficients -- and the active ISA
   // is fixed at startup, so every thread still takes the same path.
   switch (simd::active_isa()) {
@@ -177,11 +176,7 @@ std::size_t ntt_conv_size(std::size_t la, std::size_t lb) {
 }
 
 bool ntt_profitable(std::size_t la, std::size_t lb) {
-  // Operands shorter than the floor never profit (and the profitability
-  // test itself should cost nothing for the tiny products that dominate
-  // low levels of the remainder recurrence).
-  const std::size_t min_operand = modular_tuning().ntt.min_operand;
-  if (la < min_operand || lb < min_operand) return false;
+  if (la < kNttMinOperand || lb < kNttMinOperand) return false;
   const std::size_t n = ntt_conv_size(la, lb);
   const double school = 3.0 * static_cast<double>(la) *
                         static_cast<double>(lb);

@@ -94,9 +94,8 @@ void ntt_inverse(std::vector<Zp>& a, const NttPlan& plan, const PrimeField& f);
 
 /// Per-butterfly charge of the cost model, in the word-multiply units of
 /// the ModularCombine gate (1 unit == one 64x64 multiply-accumulate).
-/// The calibrated override from modular/tuning.hpp when one is set,
-/// else the compiled per-ISA default (3.0 with a vector kernel table
-/// active, 4.0 scalar).
+/// A compiled per-ISA constant: 3.0 with a vector kernel table active,
+/// 4.0 scalar.
 double ntt_butterfly_units();
 
 /// Cost of one length-n transform in the same units: (n/2) log2(n)
@@ -108,7 +107,7 @@ double ntt_transform_cost(std::size_t n);
 std::size_t ntt_conv_size(std::size_t la, std::size_t lb);
 
 /// True when the three-transform NTT product of lengths la x lb is cheaper
-/// than the la*lb schoolbook MACs under the calibrated model.  Depends
+/// than the la*lb schoolbook MACs under the cost model.  Depends
 /// only on the lengths -- the deterministic cutoff.
 bool ntt_profitable(std::size_t la, std::size_t lb);
 

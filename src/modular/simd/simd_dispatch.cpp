@@ -33,8 +33,8 @@ const char* isa_name(Isa isa) {
 
 namespace {
 
-bool cpu_has(Isa isa) {
 #if defined(POLYROOTS_SIMD_AVX2) || defined(POLYROOTS_SIMD_AVX512)
+bool cpu_has(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return true;
@@ -48,11 +48,9 @@ bool cpu_has(Isa isa) {
              __builtin_cpu_supports("avx512vl") != 0 &&
              __builtin_cpu_supports("avx512bw") != 0;
   }
-#else
-  if (isa == Isa::kScalar) return true;
-#endif
   return false;
 }
+#endif
 
 /// POLYROOTS_SIMD caps the startup pick (it cannot enable what cpuid
 /// denies).  Unknown values are ignored.

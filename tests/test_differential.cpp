@@ -2,10 +2,13 @@
 // one thread and as the task graph on four), the root-radii pipeline
 // (kRadii), Sturm isolation and Descartes isolation -- must produce
 // bit-identical mu-approximations across workload families, precisions,
-// and solver modes.  A disagreement localizes a bug to one pipeline;
-// agreement of algorithmically unrelated methods is strong evidence of
-// correctness.  (The test keeps its original name,
-// `ThreeFindersAgreeAndCertify`, from when it compared three finders.)
+// and solver modes.  The tree also runs with every fast path forced on --
+// the multimodular remainder sequence and combines on every node, the
+// BigInt Karatsuba/NTT ladder from 4 limbs -- under every available mod-p
+// kernel ISA.  A disagreement localizes a bug to one pipeline; agreement
+// of algorithmically unrelated methods is strong evidence of correctness.
+// (The test keeps its original name, `ThreeFindersAgreeAndCertify`, from
+// when it compared three finders.)
 #include <gtest/gtest.h>
 
 #include <string>
@@ -17,6 +20,8 @@
 #include "core/root_finder.hpp"
 #include "gen/classic_polys.hpp"
 #include "gen/matrix_polys.hpp"
+#include "instr/counters.hpp"
+#include "modular/simd/simd.hpp"
 #include "poly/squarefree.hpp"
 #include "support/prng.hpp"
 #include "verify/certificate.hpp"
@@ -62,6 +67,15 @@ Poly make_input(Family f, Prng& rng) {
 
 using DiffParam = std::tuple<Family, std::size_t>;
 
+/// Restores the startup kernel table and the schoolbook-only BigInt
+/// dispatch however the test exits.
+struct FastPathGuard {
+  ~FastPathGuard() {
+    modular::simd::reset_forced_isa();
+    BigInt::set_mul_dispatch(MulDispatch{});
+  }
+};
+
 class Differential : public ::testing::TestWithParam<DiffParam> {};
 
 TEST_P(Differential, ThreeFindersAgreeAndCertify) {
@@ -94,6 +108,36 @@ TEST_P(Differential, ThreeFindersAgreeAndCertify) {
 
   const auto cert = certify_cells(p, tree.roots, mu);
   EXPECT_TRUE(cert.valid) << cert.to_string();
+
+  // Every fast path forced on: modular on every node, the BigInt ladder
+  // at its lowest threshold, under each kernel ISA, on one and four
+  // threads.
+  RootFinderConfig fast_cfg = tree_cfg;
+  fast_cfg.modular.enabled = true;
+  fast_cfg.modular.min_degree = 2;
+  fast_cfg.modular.min_combine_bits = 1;
+  fast_cfg.modular.combine_cost_gate = false;
+  const FastPathGuard guard;
+  BigInt::set_mul_dispatch({.karatsuba = true,
+                            .ntt = true,
+                            .karatsuba_threshold = 4,
+                            .ntt_threshold = 4});
+  for (const modular::simd::Isa isa : modular::simd::available_isas()) {
+    ASSERT_TRUE(modular::simd::force_isa(isa));
+    for (const int threads : {1, 4}) {
+      const std::string fast_where =
+          where + " (fast paths, " + modular::simd::isa_name(isa) + ", " +
+          std::to_string(threads) + " threads)";
+      ParallelConfig pc;
+      pc.num_threads = threads;
+      instr::reset_modular();
+      const auto fast = find_real_roots_parallel(p, fast_cfg, pc);
+      EXPECT_GT(instr::modular_counts().images, 0u) << fast_where;
+      EXPECT_EQ(tree.roots, fast.report.roots) << fast_where;
+      EXPECT_EQ(tree.multiplicities, fast.report.multiplicities)
+          << fast_where;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

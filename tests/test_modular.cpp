@@ -455,6 +455,33 @@ TEST(MultimodularPrs, ImageBatchSizingCoversEverySlot) {
   EXPECT_EQ(unbatched.num_image_tasks(1), unbatched.num_slots());
 }
 
+// --- CRT wave model ----------------------------------------------------------
+
+TEST(CrtWaveModel, FanoutCapReproducesCompiledDefault) {
+  // min(16, 2 * threads).
+  EXPECT_EQ(modular::crt_wave_fanout_cap(1), 2u);
+  EXPECT_EQ(modular::crt_wave_fanout_cap(4), 8u);
+  EXPECT_EQ(modular::crt_wave_fanout_cap(8), 16u);
+  EXPECT_EQ(modular::crt_wave_fanout_cap(100), 16u);  // capped
+}
+
+TEST(CrtWaveModel, LevelWavesScaleWithWorkAndRespectTheCap) {
+  // Tiny level: one wave.
+  EXPECT_EQ(modular::crt_level_waves(10, 2, 16), 1u);
+  // units(cnt, k) = cnt * (2k + k^2); at cnt=4096, k=8: 4096*80 =
+  // 327680 units = 20 waves at 16384 units/wave, clamped to the cap.
+  EXPECT_EQ(modular::crt_level_waves(4096, 8, 16), 16u);
+  EXPECT_EQ(modular::crt_level_waves(4096, 8, 64), 20u);
+  // Monotone in both cnt and k.
+  const std::size_t w1 = modular::crt_level_waves(1024, 4, 64);
+  const std::size_t w2 = modular::crt_level_waves(2048, 4, 64);
+  const std::size_t w3 = modular::crt_level_waves(2048, 8, 64);
+  EXPECT_LE(w1, w2);
+  EXPECT_LE(w2, w3);
+  // cap <= 1 short-circuits.
+  EXPECT_EQ(modular::crt_level_waves(1u << 20, 16, 1), 1u);
+}
+
 // --- multimodular tree combine ----------------------------------------------
 
 TEST(ModularCombineTest, MatchesExactCombine) {

@@ -2,7 +2,7 @@
 //
 // The load-bearing property is bit-identity: ntt_mul must equal the
 // schoolbook convolution exactly, for every operand shape on both sides of
-// the calibrated cutoff, at every table prime.  The structural tests pin
+// the cost-model cutoff, at every table prime.  The structural tests pin
 // the algebra the transforms rely on: the table's congruence class, the
 // stored witness, and the exact multiplicative order of every root of
 // unity the twiddle tables are built from.
@@ -13,7 +13,6 @@
 
 #include "modular/ntt.hpp"
 #include "modular/polyzp.hpp"
-#include "modular/tuning.hpp"
 #include "modular/zp.hpp"
 #include "support/prng.hpp"
 
@@ -151,11 +150,6 @@ TEST(NttMul, SmallTwoAdicPrimeFallsBackCorrectly) {
 }
 
 TEST(NttMul, DispatchAgreesWithCostModel) {
-  // This test pins the compiled-default cost model; a startup-applied
-  // calibration profile may legitimately move the crossover, so run it
-  // under default tuning and restore whatever was active.
-  const ModularTuning saved = modular_tuning();
-  reset_modular_tuning();
   // mul() must route exactly per ntt_profitable, so thread count or call
   // site can never change which kernel runs.
   EXPECT_FALSE(ntt_profitable(1, 1));
@@ -170,7 +164,6 @@ TEST(NttMul, DispatchAgreesWithCostModel) {
     EXPECT_TRUE(now || !was) << "profitability regressed at " << l;
     was = now;
   }
-  set_modular_tuning(saved);
 }
 
 TEST(NttMul, ConvSizeIsNextPowerOfTwo) {

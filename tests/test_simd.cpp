@@ -13,10 +13,12 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "bigint/bigint.hpp"
 #include "bigint/bigint_ntt.hpp"
+#include "calibrate/calibrate.hpp"
 #include "modular/crt.hpp"
 #include "modular/ntt.hpp"
 #include "modular/simd/simd.hpp"
@@ -71,6 +73,16 @@ TEST(SimdDispatch, ForceIsaRoundTrips) {
   bool found = false;
   for (Isa isa : available_isas()) found = found || (active_isa() == isa);
   EXPECT_TRUE(found);
+}
+
+TEST(SimdDispatch, ProfileIdNamesTheActiveIsa) {
+  // The provenance id perfbench and every BENCH_*.json stamp.
+  IsaGuard guard;
+  for (Isa isa : available_isas()) {
+    ASSERT_TRUE(force_isa(isa)) << isa_name(isa);
+    EXPECT_EQ(calibrate::active_profile_id(),
+              std::string("defaults-") + isa_name(isa));
+  }
 }
 
 TEST(SimdKernels, PointwiseAndConversionsMatchScalar) {
